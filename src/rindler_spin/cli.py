@@ -70,7 +70,6 @@ class RunConfig:
     gap: float = 2.0 * CODATA.bohr_magneton   # electron moment in a 1 G field
     accel: Optional[float] = None
     target_t0: Optional[float] = None
-    seed: int = 0
 
 
 class _ArgumentError(RindlerSpinError, ValueError):
@@ -138,7 +137,7 @@ def _load_config_file(path):
 
 
 _CONFIG_KEYS = {"alpha", "alpha_grid", "tau_grid", "format", "out", "oracle",
-                "profile", "mu", "gap", "accel", "target_t0", "seed"}
+                "profile", "mu", "gap", "accel", "target_t0"}
 
 
 def _resolve_config(args):
@@ -197,7 +196,6 @@ def _resolve_config(args):
         gap=pick(getattr(args, "gap", None), "gap", 2.0 * CODATA.bohr_magneton, float),
         accel=pick(getattr(args, "accel", None), "accel", None, float),
         target_t0=pick(getattr(args, "target_t0", None), "target_t0", None, float),
-        seed=int(pick(getattr(args, "seed", None), "seed", 0, int)),
     )
     if config.output_format not in ("csv", "json"):
         raise _ArgumentError(f"unknown format {config.output_format!r} (csv or json)")
@@ -223,7 +221,6 @@ def _emit(config, columns, rows, extra_tables=None, scalars=None):
     if config.output_format == "json":
         payload = {
             "command": config.command,
-            "seed": config.seed,
             "columns": list(columns),
             "rows": [[None if v is None else float(v) for v in row] for row in rows],
         }
@@ -468,7 +465,6 @@ def _build_parser():
         p.add_argument("--accel", type=float, help="acceleration, cm/s^2")
         p.add_argument("--target-t0", dest="target_t0", type=float,
                        help="constants: solve for the acceleration giving this t0 (s)")
-        p.add_argument("--seed", type=int, help="seed recorded with the run")
     return parser
 
 

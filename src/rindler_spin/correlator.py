@@ -118,14 +118,25 @@ def bose_occupation(alpha):
     return 1.0 / math.expm1(x)
 
 
+def alpha_cubed(alpha):
+    """alpha^3 as a float; DomainError where it leaves the float range (alpha > ~5.6e102)."""
+    try:
+        cube = float(alpha) ** 3
+    except OverflowError:
+        cube = math.inf
+    if not math.isfinite(cube):
+        raise DomainError(f"alpha = {alpha:g} is out of range: alpha^3 is not a finite float")
+    return cube
+
+
 def rates_closed(alpha):
     """Closed-form rates in gamma0 units at dimensionless acceleration alpha."""
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
+    g_z = alpha_cubed(alpha) / (4.0 * math.pi)  # first: rejects alpha = inf before n divides
     n = bose_occupation(alpha)
     boost = 1.0 + alpha * alpha
-    return RateSet(alpha=alpha, n=n, g_plus=boost * n, g_minus=boost * (n + 1.0),
-                   g_z=alpha**3 / (4.0 * math.pi))
+    return RateSet(alpha=alpha, n=n, g_plus=boost * n, g_minus=boost * (n + 1.0), g_z=g_z)
 
 
 # dimensionless integrals: with s' = a s / c and eps' in c/a units,
@@ -176,7 +187,7 @@ def rates_numeric(alpha, schedule: EpsilonSchedule = EpsilonSchedule(),
             f"rates_numeric supports alpha >= {MIN_NUMERIC_ALPHA} only; "
             "use rates_closed below that")
     eps_list = list(schedule.epsilons)
-    prefactor = 3.0 * alpha**3 / (16.0 * math.pi)
+    prefactor = 3.0 * alpha_cubed(alpha) / (16.0 * math.pi)
 
     plus_vals, minus_vals, z_vals = [], [], []
     for eps in eps_list:

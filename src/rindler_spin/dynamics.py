@@ -42,8 +42,9 @@ SIGMA = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-#: sixteen tensor-product basis operators, PAULI2[i][j] = s_i x s_j
-PAULI2 = tuple(tuple(np.kron(SIGMA[i], SIGMA[j]) for j in range(4)) for i in range(4))
+#: sixteen tensor-product basis operators stacked (4, 4, 4, 4), PAULI2[i, j] = s_i x s_j
+PAULI2 = np.array([[np.kron(si, sj) for sj in SIGMA] for si in SIGMA])
+PAULI2.setflags(write=False)
 
 # sigma- = (sigma_x + i sigma_y)/2 maps the excited level (sigma_z = -1) to
 # the ground level (sigma_z = +1) of the gap Hamiltonian -mu B sigma_z
@@ -128,11 +129,7 @@ def coeffs_from_density(rho: DensityMatrix) -> PauliCoefficients:
     m = rho.m
     if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise ValidationError("density matrix is not Hermitian")
-    r = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            r[i, j] = np.trace(m @ PAULI2[i][j]).real / 4.0
-    return PauliCoefficients(r)
+    return PauliCoefficients(np.einsum("ab,ijba->ij", m, PAULI2).real / 4.0)
 
 
 def density_from_coefficients(coeffs: PauliCoefficients) -> DensityMatrix:
@@ -145,11 +142,7 @@ def density_from_coefficients(coeffs: PauliCoefficients) -> DensityMatrix:
     if norm > 1.0 + 1e-9:
         warnings.warn(f"Bloch norm {norm:.6f} exceeds 1; state may be unphysical",
                       BlochBoundWarning, stacklevel=2)
-    m = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            m = m + coeffs.r[i, j] * PAULI2[i][j]
-    return DensityMatrix(m)
+    return DensityMatrix(np.einsum("ij,ijab->ab", coeffs.r, PAULI2))
 
 
 def bell_state() -> PauliCoefficients:

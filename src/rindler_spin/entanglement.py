@@ -29,11 +29,12 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .correlator import alpha_cubed
 from .dynamics import DensityMatrix, PAULI2
 from .errors import DomainError, NumericError, ValidationError
 from .linalg4 import characteristic_roots, jacobi_hermitian
 
-_SPIN_FLIP = PAULI2[2][2].real  # sy x sy is real symmetric
+_SPIN_FLIP = PAULI2[2, 2].real  # sy x sy is real symmetric
 
 EIG_CLAMP = -1e-10       # eigenvalue noise floor treated as zero
 IMAG_EIG_TOL = 1e-8      # larger imaginary residuals signal an invalid state
@@ -78,20 +79,18 @@ class LabDisentanglement(NamedTuple):
 def _wootters_lambdas(rho: DensityMatrix):
     """Nonnegative square roots of the spectrum of rho (sy x sy) rho* (sy x sy).
 
-    Factor rho = Phi Phi^dagger through its Jacobi eigendecomposition; the
-    lambdas are then the singular values of the complex symmetric matrix
-    W = Phi^T (sy x sy) Phi, read off a second Hermitian Jacobi pass on
-    W^dagger W.  This keeps small lambdas accurate where the quartic of the
-    squared product would drown them in roundoff.
+    Factor rho = Phi Phi^dagger through its Hermitian eigendecomposition;
+    the lambdas are then the singular values of the complex symmetric
+    matrix W = Phi^T (sy x sy) Phi, taken from one SVD of W.  This keeps
+    small lambdas accurate where the quartic of the squared product would
+    drown them in roundoff.
     """
     w, v = jacobi_hermitian(rho.m)
     low = float(np.min(w))
     if low < EIG_CLAMP:
         raise ValidationError(f"density matrix has eigenvalue {low:.3e} < {EIG_CLAMP}")
     phi = v * np.sqrt(np.clip(w, 0.0, None))
-    sym = phi.T @ _SPIN_FLIP @ phi
-    sq = jacobi_hermitian(sym.conj().T @ sym, vectors=False)
-    return np.sort(np.sqrt(np.clip(sq, 0.0, None)))[::-1]
+    return np.linalg.svd(phi.T @ _SPIN_FLIP @ phi, compute_uv=False)
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -133,8 +132,9 @@ def relaxation_times(alpha) -> RelaxationTimes:
     """
     if alpha <= 0:
         return RelaxationTimes(t1=1.0, t2=2.0)
+    cube = alpha_cubed(alpha)  # first: rejects alpha = inf before tanh(0) divides
     g1 = (1.0 + alpha * alpha) / math.tanh(math.pi / alpha)
-    g2 = 0.5 * (g1 + alpha**3 / math.pi)
+    g2 = 0.5 * (g1 + cube / math.pi)
     return RelaxationTimes(t1=1.0 / g1, t2=1.0 / g2)
 
 
@@ -145,17 +145,25 @@ def concurrence_closed(alpha, tau) -> float:
     if tau < 0:
         raise DomainError("tau must be nonnegative")
     times = relaxation_times(alpha)
-    sech = 1.0 / math.cosh(math.pi / alpha)
+    e = math.exp(-math.pi / alpha)
+    sech = 2.0 * e / (1.0 + e * e)  # underflows to 0 where cosh(pi/alpha) overflows
     value = math.exp(-tau * times.gamma2) - 0.5 * (1.0 - math.exp(-tau * times.gamma1)) * sech
     return max(value, 0.0)
 
 
 def _crossing_function(alpha):
+    """Log of the ratio of the two terms of the closed form, in tau > 0.
+
+    f(tau) = ln exp(-tau G2) - ln[(1 - exp(-tau G1)) sech(x)/2] with
+    x = pi/alpha has the sign of the unclipped concurrence and stays finite
+    where sech(x) itself underflows (alpha below about pi/710).
+    """
     times = relaxation_times(alpha)
-    sech = 1.0 / math.cosh(math.pi / alpha)
+    x = math.pi / alpha
+    log_two_cosh = x + math.log1p(math.exp(-2.0 * x))  # -ln(sech(x)/2)
 
     def f(tau):
-        return math.exp(-tau * times.gamma2) - 0.5 * (1.0 - math.exp(-tau * times.gamma1)) * sech
+        return -tau * times.gamma2 + log_two_cosh - math.log(-math.expm1(-tau * times.gamma1))
 
     return f, times
 

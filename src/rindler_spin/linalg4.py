@@ -1,13 +1,11 @@
-"""Self-contained dense linear algebra for the 4x4 problems in this package.
+"""The two 4x4 eigen-primitives the physics modules share.
 
-Two primitives live here so the physics modules need no external
-eigensolver:
-
-* cyclic complex Jacobi sweeps for Hermitian eigenproblems (used for
-  density-matrix positivity checks and for the concurrence factorization);
+* Hermitian eigenproblems (density-matrix positivity checks and the
+  concurrence factorization) go to LAPACK through ``numpy.linalg``;
 * a closed-form real-quartic solver (resolvent cubic, factorization into
-  two quadratics, guarded Newton polish) for characteristic roots of real
-  4x4 matrices.
+  two quadratics, guarded Newton polish) gives the characteristic roots of
+  real 4x4 matrices, keeping ``concurrence_real`` a route independent of
+  LAPACK.
 """
 
 from __future__ import annotations
@@ -17,54 +15,19 @@ import math
 
 import numpy as np
 
-from .errors import NumericError
 
+def jacobi_hermitian(matrix):
+    """Eigenvalues and eigenvectors of a Hermitian matrix.
 
-def jacobi_hermitian(matrix, tol=1e-13, max_sweeps=100, vectors=True):
-    """Eigenvalues (and optionally eigenvectors) of a Hermitian matrix.
-
-    Cyclic Jacobi with complex plane rotations; sweeps until every
-    off-diagonal element is below ``tol`` times the largest input
-    magnitude.  Returns (values, vectors) with ``matrix ~ V diag(w) V^H``;
-    values are unsorted.
+    Returns (values, vectors) with ``matrix ~ V diag(w) V^H``, values
+    ascending.
     """
-    a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex) if vectors else None
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-
-    for _ in range(max_sweeps):
-        off = max(abs(a[p, q]) for p in range(n - 1) for q in range(p + 1, n))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol * scale * 1e-3:
-                    continue
-                phase = apq / abs(apq)
-                theta = 0.5 * math.atan2(2.0 * abs(apq), (a[p, p] - a[q, q]).real)
-                c, s = math.cos(theta), math.sin(theta)
-                rot = np.eye(n, dtype=complex)
-                rot[p, p] = c
-                rot[p, q] = -s * phase
-                rot[q, p] = s * np.conj(phase)
-                rot[q, q] = c
-                a = rot.conj().T @ a @ rot
-                if vectors:
-                    v = v @ rot
-        a = (a + a.conj().T) / 2.0  # suppress rotation roundoff drift
-    else:
-        raise NumericError("Jacobi sweeps did not converge", residual=float(off))
-
-    w = a.diagonal().real.copy()
-    return (w, v) if vectors else w
+    return np.linalg.eigh(matrix)
 
 
-def hermitian_eigenvalues(matrix, tol=1e-13):
-    """Sorted (ascending) eigenvalues of a Hermitian matrix via Jacobi sweeps."""
-    w = jacobi_hermitian(matrix, tol=tol, vectors=False)
-    return np.sort(w)
+def hermitian_eigenvalues(matrix):
+    """Sorted (ascending) eigenvalues of a Hermitian matrix."""
+    return np.linalg.eigvalsh(matrix)
 
 
 def _largest_real_cubic_root(b, c, d):

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rindler_spin
 from rindler_spin.cli import main
 
 TAU0_A1 = 2.7068896432990886
@@ -174,7 +179,7 @@ def test_output_determinism(capsys, tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (p1, p2):
         code, _, _ = run_cli(capsys, "rates", "--alpha-grid", "0.5:5:20",
-                             "--seed", "7", "--out", str(path))
+                             "--out", str(path))
         assert code == 0
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -202,10 +207,11 @@ def test_config_env_var(capsys, tmp_path, monkeypatch):
 
 def test_config_unknown_key(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("alpa = 1\n")
-    code, _, err = run_cli(capsys, "rates", "--config", str(cfg))
-    assert code == 2
-    assert "alpa" in err
+    for key in ("alpa", "seed"):
+        cfg.write_text(f"{key} = 1\n")
+        code, _, err = run_cli(capsys, "rates", "--config", str(cfg))
+        assert code == 2
+        assert key in err
 
 
 def test_bad_grid_spec(capsys):
@@ -225,6 +231,21 @@ def test_numeric_error_exit_code(capsys):
     # this t0 needs an acceleration beyond float range: bracketing must fail
     code, _, err = run_cli(capsys, "constants", "--target-t0", "1e-300")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["curve", "--alpha", "0.001"], 0),                    # cosh(pi/alpha) overflowed
+    (["surface", "--alpha-grid", "0.001:0.01:3"], 0),
+    (["rates", "--alpha", "1e200"], 2),                    # alpha^3 overflows
+])
+def test_extreme_alpha_exit_codes(argv, expected):
+    src = str(Path(rindler_spin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "rindler_spin.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == expected
+    assert "Traceback" not in proc.stderr
 
 
 def test_default_rates_grid_shape(capsys):

@@ -121,6 +121,11 @@ def test_rates_closed_alpha_one():
 def test_rates_closed_domain():
     with pytest.raises(DomainError):
         rates_closed(-0.5)
+    for alpha in (1e200, math.inf):  # alpha^3 overflows
+        with pytest.raises(DomainError):
+            rates_closed(alpha)
+    with pytest.raises(DomainError):
+        rates_numeric(1e200)
 
 
 def test_detailed_balance_log_grid():

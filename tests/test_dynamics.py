@@ -47,8 +47,11 @@ def test_coeffs_roundtrip_random():
     rng = np.random.default_rng(21)
     for _ in range(100):
         rho = random_density(rng)
-        back = density_from_coefficients(coeffs_from_density(rho))
+        coeffs = coeffs_from_density(rho)
+        back = density_from_coefficients(coeffs)
         assert np.max(np.abs(back.m - rho.m)) < 1e-12
+        again = coeffs_from_density(back)
+        assert np.max(np.abs(again.r - coeffs.r)) < 1e-14
 
 
 def test_coeffs_rejects_non_hermitian():

@@ -10,6 +10,7 @@ from rindler_spin import (CODATA, DensityMatrix, DomainError, ValidationError,
                           evolve_analytic, gamma0, lab_exponent_constant,
                           rates_closed, relaxation_times, steady_state,
                           t0_lab, tau0_asymptotic)
+from rindler_spin.dynamics import SIGMA
 
 from helpers import (bell_density, evolved_bell_density, random_density,
                      random_unitary2, wootters_reference)
@@ -45,6 +46,39 @@ def test_concurrence_matches_reference_on_random_states():
     for _ in range(100):
         rho = random_density(rng)
         assert concurrence(rho) == pytest.approx(wootters_reference(rho), abs=1e-9)
+
+
+def test_concurrence_pure_states():
+    # for a pure state the lambdas collapse to one: C = |psi^T (sy x sy) psi|
+    spin_flip = np.kron(SIGMA[2], SIGMA[2])
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        psi /= np.linalg.norm(psi)
+        rho = DensityMatrix(np.outer(psi, psi.conj()))
+        assert concurrence(rho) == pytest.approx(abs(psi @ spin_flip @ psi), abs=1e-12)
+
+
+def test_concurrence_rank_two_states():
+    # rank-deficient rho: the Hermitian eigen-solve returns tiny negative
+    # eigenvalues, which the factorization clips.  A Bell-pair mixture
+    # p Phi+ + (1-p) Psi+ under local unitaries has C = |2p - 1| exactly.
+    phi_plus = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    psi_plus = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        p = rng.uniform()
+        u = np.kron(random_unitary2(rng), random_unitary2(rng))
+        mix = p * np.outer(phi_plus, phi_plus) + (1.0 - p) * np.outer(psi_plus, psi_plus)
+        rho = DensityMatrix(u @ mix @ u.conj().T)
+        assert concurrence(rho) == pytest.approx(abs(2.0 * p - 1.0), abs=1e-12)
+    # generic rank 2: the reference squares the lambdas, so its two zero
+    # lambdas carry sqrt(machine eps) ~ 1e-8 of noise
+    for _ in range(200):
+        a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        m = a @ a.conj().T
+        rho = DensityMatrix(m / np.trace(m).real)
+        assert concurrence(rho) == pytest.approx(wootters_reference(rho), abs=1e-7)
 
 
 def test_concurrence_evolved_bell_vs_closed():
@@ -166,6 +200,22 @@ def test_disentanglement_time_monotone():
 def test_disentanglement_time_domain():
     with pytest.raises(DomainError):
         disentanglement_time(0.0)
+    with pytest.raises(DomainError):  # alpha^3 overflows
+        disentanglement_time(1e200)
+    with pytest.raises(DomainError):
+        relaxation_times(1e200)
+
+
+def test_disentanglement_time_small_alpha():
+    # cosh(pi/alpha) overflows below alpha ~ pi/710; the log-form crossing does not
+    alpha = 1e-3
+    tau0 = disentanglement_time(alpha)
+    times = relaxation_times(alpha)
+    x = math.pi / alpha
+    residual = (-tau0 * times.gamma2 + x + math.log1p(math.exp(-2.0 * x))
+                - math.log(-math.expm1(-tau0 * times.gamma1)))
+    assert abs(residual) < 1e-8
+    assert tau0 == pytest.approx(2.0 * math.pi / alpha, rel=1e-5)
 
 
 def test_concurrence_curve_structure():

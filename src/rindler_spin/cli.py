@@ -330,8 +330,9 @@ def cmd_surface(config: RunConfig):
             for a in alphas for t in taus]
     zero_rows = []
     for a in alphas:
-        tau0 = disentanglement_time(float(a))
-        asym = math.pi * math.log(3.0) / float(a) ** 3
+        tau0 = disentanglement_time(float(a))  # first: rejects alpha^3 overflow
+        cube = float(a) ** 3
+        asym = math.pi * math.log(3.0) / cube if cube > 0 else math.inf
         zero_rows.append([a, tau0, asym])
     _emit(config, ["alpha", "tau", "c"], rows,
           extra_tables={"tau0": (["alpha", "tau0", "tau0_asymptotic"], zero_rows)})

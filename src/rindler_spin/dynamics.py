@@ -6,19 +6,24 @@ coefficients are real, r_00 = 1/4 fixes the trace, and purity bounds the
 remaining fifteen inside a generalized Bloch ball.
 
 The dissipator acts on the first (accelerated) spin only, with jump
-operators sqrt(g-/2) sigma-, sqrt(g+/2) sigma+, sqrt(g_z/2) sigma_z in
-gamma0 units.  In the coefficient picture the sixteen ODEs decouple row by
-row:
+operators sqrt(g-) sigma-, sqrt(g+) sigma+, sqrt(g_z) sigma_z in gamma0
+units, each entering as g D[J] with D[J] rho = J rho J^+ - {J^+ J, rho}/2.
+In the coefficient picture the sixteen ODEs decouple row by row:
 
     r_0j' = 0
     r_1j' = -(g- + g+ + 4 g_z)/2 * r_1j      (same for r_2j)
     r_3j' = (g- - g+) r_0j - (g- + g+) r_3j
 
-and ``evolve_analytic`` applies their closed-form solutions, while
-``evolve_numeric`` integrates the full 4x4 master equation with a
-classical fixed-step RK4 as an independent route.  All evolution happens
-in the renormalized (interaction) picture; the residual coherent rotation
-is a local unitary on the first spin and drops out of every observable
+and ``evolve_analytic`` applies their closed-form solutions.  As an
+independent route, ``evolve_numeric`` builds the generator of the full
+master equation from the jump operators themselves (the 4x4 superoperator
+vectorized to 16x16, Havel, J. Math. Phys. 44, 534 (2003), then taken to
+the real Pauli coefficient basis), forms the matrix of one classical RK4
+step and raises it to the number of steps.  In that basis the identity
+row of the generator is exactly zero, so every power of the step matrix
+keeps r_00, and with it the trace, exact.  All evolution happens in the
+renormalized (interaction) picture; the residual coherent rotation is a
+local unitary on the first spin and drops out of every observable
 computed downstream (populations along z, concurrence), so it is never
 applied.
 """
@@ -50,6 +55,31 @@ PAULI2.setflags(write=False)
 # the ground level (sigma_z = +1) of the gap Hamiltonian -mu B sigma_z
 _SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 _ID2 = np.eye(2, dtype=complex)
+
+
+def _pauli_generator(jump):
+    """D[J] for J = jump on the first spin, as a real 16x16 map of the coefficients r.
+
+    Row-major vec(A rho B) = (A x B^T) vec(rho) gives the superoperator;
+    with B the 16 vectorized basis operators, vec(rho) = B^T r and
+    r = conj(B) vec(rho) / 4, which conjugates it to the Pauli basis.
+    """
+    j = np.kron(jump, _ID2)
+    jdj = j.conj().T @ j
+    eye = np.eye(4)
+    superop = np.kron(j, j.conj()) - 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T))
+    basis = PAULI2.reshape(16, 16)
+    gen = (basis.conj() @ superop @ basis.T).real / 4.0
+    gen.setflags(write=False)
+    return gen
+
+
+#: Pauli-basis generators of the sigma-, sigma+ and sigma_z channels at unit rate
+_GEN_MINUS = _pauli_generator(_SIGMA_MINUS)
+_GEN_PLUS = _pauli_generator(_SIGMA_MINUS.conj().T)
+_GEN_Z = _pauli_generator(SIGMA[3])
+_EYE16 = np.eye(16)
+_EYE16.setflags(write=False)
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -94,13 +124,21 @@ class DensityMatrix:
         object.__setattr__(self, "m", m)
 
     def validate(self, psd_tol=PSD_TOL):
+        self.validate_hermitian_unit_trace()
+        if float(hermitian_eigenvalues(self.m)[0]) < -psd_tol:
+            raise ValidationError("density matrix has a negative eigenvalue")
+        return self
+
+    def validate_hermitian_unit_trace(self):
+        """The checks of :meth:`validate` short of positivity, for callers that
+        take the spectrum themselves."""
         m = self.m
+        if not np.isfinite(m).all():
+            raise ValidationError("density matrix has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise ValidationError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
             raise ValidationError("density matrix must have unit trace")
-        if float(hermitian_eigenvalues(m)[0]) < -psd_tol:
-            raise ValidationError("density matrix has a negative eigenvalue")
         return self
 
     def min_eigenvalue(self):
@@ -182,11 +220,14 @@ def evolve_analytic(coeffs0: PauliCoefficients, rates: RateSet, tau) -> PauliCoe
 
 
 def evolve_numeric(rho0: DensityMatrix, spec: LindbladSpec, tau) -> DensityMatrix:
-    """Fixed-step RK4 integration of the master equation to time tau.
+    """Fixed-step classical RK4 integration of the master equation to time tau.
 
     The jump operators act on the first qubit (identity on the spectator).
-    Preserves the trace to roundoff; raises IntegrationInstabilityError if
-    the result develops an eigenvalue below -1e-8.
+    With G the Pauli-basis generator, one RK4 step of length h is the
+    matrix P = I + hG(I + hG/2(I + hG/3(I + hG/4))), so ceil(tau/dt) steps
+    are the single power P^steps.  Preserves the trace exactly; raises
+    IntegrationInstabilityError if the result develops an eigenvalue
+    below -1e-8.
     """
     if tau < 0:
         raise DomainError("tau must be nonnegative")
@@ -194,30 +235,17 @@ def evolve_numeric(rho0: DensityMatrix, spec: LindbladSpec, tau) -> DensityMatri
     if tau == 0:
         return DensityMatrix(rho0.m)
 
-    g_minus, g_plus, g_z = spec.rates.g_minus, spec.rates.g_plus, spec.rates.g_z
-    lower = np.kron(_SIGMA_MINUS, _ID2)
-    raise_ = lower.conj().T
-    sz = np.kron(SIGMA[3], _ID2)
-    num = lower.conj().T @ lower      # sigma+ sigma- on qubit 1
-    hole = lower @ lower.conj().T     # sigma- sigma+ on qubit 1
-
-    def rhs(rho):
-        out = 0.5 * g_minus * (2.0 * lower @ rho @ raise_ - num @ rho - rho @ num)
-        out += 0.5 * g_plus * (2.0 * raise_ @ rho @ lower - hole @ rho - rho @ hole)
-        out += g_z * (sz @ rho @ sz - rho)
-        return out
-
-    steps = max(1, math.ceil(tau / spec.dt))
+    ratio = tau / spec.dt
+    if not math.isfinite(ratio):
+        raise DomainError(f"tau/dt = {ratio} is not a finite step count")
+    steps = max(1, math.ceil(ratio))
     h = tau / steps
-    rho = np.array(rho0.m)
-    for _ in range(steps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * h * k1)
-        k3 = rhs(rho + 0.5 * h * k2)
-        k4 = rhs(rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    rates = spec.rates
+    hg = h * (rates.g_minus * _GEN_MINUS + rates.g_plus * _GEN_PLUS + rates.g_z * _GEN_Z)
+    step = _EYE16 + hg @ (_EYE16 + (hg / 2.0) @ (_EYE16 + (hg / 3.0) @ (_EYE16 + hg / 4.0)))
+    r = np.linalg.matrix_power(step, steps) @ coeffs_from_density(rho0).r.reshape(16)
 
-    result = DensityMatrix(rho)
+    result = DensityMatrix(np.einsum("ij,ijab->ab", r.reshape(4, 4), PAULI2))
     min_eig = result.min_eigenvalue()
     if min_eig < -1e-8:
         raise IntegrationInstabilityError(

@@ -30,13 +30,13 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .correlator import alpha_cubed
-from .dynamics import DensityMatrix, PAULI2
+from .dynamics import PAULI2, PSD_TOL, DensityMatrix
 from .errors import DomainError, NumericError, ValidationError
 from .linalg4 import characteristic_roots, jacobi_hermitian
 
 _SPIN_FLIP = PAULI2[2, 2].real  # sy x sy is real symmetric
 
-EIG_CLAMP = -1e-10       # eigenvalue noise floor treated as zero
+EIG_CLAMP = -PSD_TOL     # eigenvalue noise floor treated as zero (validate's bound)
 IMAG_EIG_TOL = 1e-8      # larger imaginary residuals signal an invalid state
 
 
@@ -69,7 +69,7 @@ class LabDisentanglement(NamedTuple):
     """Lab-frame disentanglement time with an overflow-safe log companion.
 
     ``t0`` saturates to inf when the exponential overflows; ``log_t0``
-    is ln(t0) in seconds, always finite.
+    is ln(t0) in seconds, finite unless the exponent itself overflows.
     """
 
     t0: float
@@ -94,8 +94,12 @@ def _wootters_lambdas(rho: DensityMatrix):
 
 
 def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence of a (validated) two-qubit density matrix."""
-    rho.validate()
+    """Wootters concurrence of a two-qubit density matrix.
+
+    Validates as :meth:`DensityMatrix.validate` does, with the positivity
+    check taken from the one eigendecomposition the lambdas need.
+    """
+    rho.validate_hermitian_unit_trace()
     lams = _wootters_lambdas(rho)
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
@@ -173,17 +177,17 @@ def disentanglement_time(alpha) -> float:
 
     The crossing function is strictly decreasing from f(0) = 1, so the
     positive root is unique; found by bracket expansion plus bisection to
-    1e-12 relative.
+    1e-12 relative.  The bracket doubles until it holds the root, which
+    lies near 2 pi/alpha for small alpha; only a root beyond the float
+    range (alpha below about 3.5e-308) fails to bracket.
     """
     if alpha <= 0:
         raise DomainError("disentanglement_time requires alpha > 0")
     f, times = _crossing_function(alpha)
     lo, hi = 0.0, 10.0 * math.log(3.0) * times.t2
-    expansions = 0
     while f(hi) > 0.0:
         hi *= 2.0
-        expansions += 1
-        if expansions > 200:
+        if math.isinf(hi):
             raise NumericError(f"could not bracket the concurrence zero for alpha={alpha}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -209,10 +213,11 @@ def tau0_asymptotic(accel, constants, mu) -> float:
     In gamma0 units this is pi*ln(3)/alpha^3, the inverse-cube law valid
     for alpha >> 1 with relative error O(alpha^-2).
     """
-    if accel <= 0:
-        raise DomainError("tau0_asymptotic requires accel > 0")
+    if not 0 < accel < math.inf:
+        raise DomainError("tau0_asymptotic requires a finite accel > 0")
     prefactor = 3.0 * math.pi * math.log(3.0) / 8.0
-    return prefactor * constants.hbar * constants.c**6 / (mu**2 * accel**3)
+    scale = prefactor * constants.hbar * constants.c**6 / mu**2
+    return scale / accel / accel / accel  # saturates to inf or 0 where a^3 leaves the float range
 
 
 def lab_exponent_constant(constants, mu) -> float:
@@ -229,14 +234,17 @@ def t0_lab(accel, constants, mu) -> LabDisentanglement:
     """Lab-frame disentanglement time t0 = (c/2a) exp[K/a^2], overflow-safe.
 
     Returns the pair (t0, log t0); t0 is inf when the exponent overflows,
-    log t0 = ln(c/2a) + K/a^2 is exact either way.
+    log t0 = ln(c/2) - ln(a) + K/a^2 is exact either way, and finite
+    unless K/a^2 itself overflows (a below about 5e-122 cm/s^2 for the
+    electron).
     """
-    if accel <= 0:
-        raise DomainError("t0_lab requires accel > 0")
+    if not 0 < accel < math.inf:
+        raise DomainError("t0_lab requires a finite accel > 0")
     exponent = lab_exponent_constant(constants, mu) / accel / accel  # no a**2 overflow
-    log_t0 = math.log(constants.c / (2.0 * accel)) + exponent
+    half_c = 0.5 * constants.c
+    log_t0 = math.log(half_c) - math.log(accel) + exponent  # no 2a overflow
     try:
-        t0 = constants.c / (2.0 * accel) * math.exp(exponent)
+        t0 = half_c / accel * math.exp(exponent)
     except OverflowError:
         t0 = math.inf
     return LabDisentanglement(t0=t0, log_t0=log_t0)

@@ -1,4 +1,4 @@
-"""Shared builders for randomized states and the evolved-Bell family."""
+"""Shared builders for randomized states and the evolved-Bell family, and reference routes."""
 import math
 
 import numpy as np
@@ -48,3 +48,33 @@ def wootters_reference(rho: DensityMatrix):
     m = rho.m @ sy2 @ rho.m.conj() @ sy2
     lams = np.sqrt(np.clip(np.sort(np.linalg.eigvals(m).real)[::-1], 0.0, None))
     return max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
+
+
+def rk4_reference(rho0: DensityMatrix, rates, tau, dt):
+    """Master equation by an explicit per-step classical RK4 loop on the 4x4 matrix.
+
+    The same discretization as ``evolve_numeric`` (ceil(tau/dt) equal
+    steps), written out step by step, as the reference for its step matrix.
+    """
+    lower = np.kron(np.array([[0, 1], [0, 0]], dtype=complex), SIGMA[0])
+    raise_ = lower.conj().T
+    sz = np.kron(SIGMA[3], SIGMA[0])
+    num = raise_ @ lower      # sigma+ sigma- on qubit 1
+    hole = lower @ raise_     # sigma- sigma+ on qubit 1
+
+    def rhs(rho):
+        out = 0.5 * rates.g_minus * (2.0 * lower @ rho @ raise_ - num @ rho - rho @ num)
+        out += 0.5 * rates.g_plus * (2.0 * raise_ @ rho @ lower - hole @ rho - rho @ hole)
+        out += rates.g_z * (sz @ rho @ sz - rho)
+        return out
+
+    steps = max(1, math.ceil(tau / dt))
+    h = tau / steps
+    rho = np.array(rho0.m)
+    for _ in range(steps):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * h * k1)
+        k3 = rhs(rho + 0.5 * h * k2)
+        k4 = rhs(rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return DensityMatrix(rho)

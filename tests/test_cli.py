@@ -237,6 +237,10 @@ def test_numeric_error_exit_code(capsys):
     (["curve", "--alpha", "0.001"], 0),                    # cosh(pi/alpha) overflowed
     (["surface", "--alpha-grid", "0.001:0.01:3"], 0),
     (["rates", "--alpha", "1e200"], 2),                    # alpha^3 overflows
+    (["surface", "--alpha-grid", "1e-120:1e-100:2"], 0),   # tau0 past 200 doublings
+    (["constants", "--accel", "1e-200"], 0),
+    (["constants", "--accel", "1.7e308"], 2),              # 2 accel overflowed in t0_lab
+    (["constants", "--accel", "inf"], 2),
 ])
 def test_extreme_alpha_exit_codes(argv, expected):
     src = str(Path(rindler_spin.__file__).resolve().parents[1])

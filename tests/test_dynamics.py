@@ -11,7 +11,7 @@ from rindler_spin import (BlochBoundWarning, DensityMatrix, DomainError,
                           steady_state)
 from rindler_spin.dynamics import SIGMA
 
-from helpers import bell_density, random_density
+from helpers import bell_density, random_density, rk4_reference
 
 # frozen: Gamma2(alpha=1) = 1.1628968162892166, r11(tau=1) = exp(-Gamma2)/4
 R11_TAU1 = 0.078144845763714733
@@ -152,6 +152,49 @@ def test_evolve_numeric_matches_analytic():
         assert np.max(np.abs(numeric.m - analytic.m)) < 1e-8
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 5.0])
+def test_evolve_numeric_matches_reference_loop(alpha):
+    # the step-matrix power against the explicit per-step loop, same discretization
+    rates = rates_closed(alpha)
+    dt = min(1e-3, 0.05 / max(rates.g_minus, rates.g_plus, 4.0 * rates.g_z))
+    spec = LindbladSpec(rates=rates, dt=dt)
+    rng = np.random.default_rng(int(alpha * 100))
+    for rho0 in (density_from_coefficients(bell_state()), random_density(rng)):
+        for steps in (1, 7, 300):
+            tau = steps * dt
+            out = evolve_numeric(rho0, spec, tau)
+            ref = rk4_reference(rho0, rates, tau, dt)
+            assert np.max(np.abs(out.m - ref.m)) < 1e-13
+
+
+def test_evolve_numeric_high_temperature():
+    # alpha = 20 needs about 2.5e5 steps to tau = 5: the trace stays exact
+    rates = rates_closed(20.0)
+    spec = LindbladSpec(rates=rates, dt=0.05 / (4.0 * rates.g_z))
+    out = evolve_numeric(density_from_coefficients(bell_state()), spec, 5.0)
+    assert abs(np.trace(out.m) - 1.0) <= 1e-14
+    analytic = density_from_coefficients(evolve_analytic(bell_state(), rates, 5.0))
+    assert np.max(np.abs(out.m - analytic.m)) < 1e-8
+
+
+def test_evolve_numeric_step_count_domain():
+    rates = rates_closed(1.0)
+    rho0 = density_from_coefficients(bell_state())
+    for tau in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            evolve_numeric(rho0, LindbladSpec(rates=rates, dt=1e-3), tau)
+    with pytest.raises(DomainError):  # tau/dt overflows
+        evolve_numeric(rho0, LindbladSpec(rates=rates, dt=1e-309), 1.0)
+
+
+def test_curve_high_alpha_cli(capsys):
+    from rindler_spin.cli import main
+    assert main(["curve", "--alpha", "50"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 120
+    assert max(abs(float(r[1]) - float(r[2])) for r in rows) <= 1e-6
+
+
 def test_evolve_numeric_order_four():
     # halving dt shrinks the defect ~16x (checked loosely for roundoff headroom)
     rates = rates_closed(1.0)
@@ -235,6 +278,11 @@ def test_density_validate_errors():
     non_herm[0, 1] = 1e-3
     with pytest.raises(ValidationError):
         DensityMatrix(non_herm).validate()
+    for value in (math.nan, math.inf):
+        non_finite = np.array(good)
+        non_finite[1, 1] = value
+        with pytest.raises(ValidationError):
+            DensityMatrix(non_finite).validate()
 
 
 def test_steady_state_bell_product():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rindler_spin import (CODATA, DensityMatrix, DomainError, ValidationError,
+from rindler_spin import (CODATA, DensityMatrix, DomainError, NumericError,
+                          ValidationError,
                           bell_state, concurrence, concurrence_closed,
                           concurrence_curve, concurrence_real,
                           density_from_coefficients, disentanglement_time,
@@ -91,6 +92,34 @@ def test_concurrence_rejects_invalid_state():
     bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValidationError):
         concurrence(DensityMatrix(bad))
+    good = np.eye(4, dtype=complex) / 4.0
+    slightly_negative = np.diag([0.5 + 1e-9, 0.5, 0.0, -1e-9]).astype(complex)
+    non_herm, bad_trace, non_finite = np.array(good), good * 1.01, np.array(good)
+    non_herm[0, 1] = 1e-3
+    non_finite[1, 1] = math.nan
+    for m in (slightly_negative, non_herm, bad_trace, non_finite):
+        with pytest.raises(ValidationError):
+            concurrence(DensityMatrix(m))
+    # within the positivity tolerance of DensityMatrix.validate
+    edge = np.diag([0.5 + 1e-11, 0.5, 0.0, -1e-11]).astype(complex)
+    assert concurrence(DensityMatrix(edge)) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_concurrence_single_eigensolve(monkeypatch):
+    import rindler_spin.dynamics as dynamics
+    import rindler_spin.entanglement as entanglement
+    calls = []
+
+    def counted(fn):
+        def wrapper(m):
+            calls.append(fn.__name__)
+            return fn(m)
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "hermitian_eigenvalues", counted(dynamics.hermitian_eigenvalues))
+    monkeypatch.setattr(entanglement, "jacobi_hermitian", counted(entanglement.jacobi_hermitian))
+    concurrence(evolved_bell_density(1.0, 1.0))
+    assert calls == ["jacobi_hermitian"]
 
 
 def test_concurrence_real_bell_and_mixed():
@@ -216,6 +245,11 @@ def test_disentanglement_time_small_alpha():
                 - math.log(-math.expm1(-tau0 * times.gamma1)))
     assert abs(residual) < 1e-8
     assert tau0 == pytest.approx(2.0 * math.pi / alpha, rel=1e-5)
+    # the bracket keeps doubling (past 600 times) until it holds the root
+    for alpha in (1e-120, 1e-300):
+        assert disentanglement_time(alpha) == pytest.approx(2.0 * math.pi / alpha, rel=1e-9)
+    with pytest.raises(NumericError):  # pi/alpha overflows: no finite root
+        disentanglement_time(5e-324)
 
 
 def test_concurrence_curve_structure():
@@ -300,7 +334,20 @@ def test_t0_reduces_to_sinh_relation():
 
 
 def test_t0_lab_domain():
-    with pytest.raises(DomainError):
-        t0_lab(0.0, CODATA, CODATA.bohr_magneton)
-    with pytest.raises(DomainError):
-        tau0_asymptotic(-1.0, CODATA, CODATA.bohr_magneton)
+    mu = CODATA.bohr_magneton
+    for accel in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            t0_lab(accel, CODATA, mu)
+        with pytest.raises(DomainError):
+            tau0_asymptotic(accel, CODATA, mu)
+
+
+def test_t0_lab_float_range_edges():
+    # 2a and a^3 overflow, and K/a^2 and 1/a^3 overflow, without an exception
+    mu = CODATA.bohr_magneton
+    lab = t0_lab(1.7e308, CODATA, mu)
+    assert lab.t0 == pytest.approx(CODATA.c / 2.0 / 1.7e308, rel=1e-12)
+    assert lab.log_t0 == pytest.approx(math.log(CODATA.c / 2.0) - math.log(1.7e308), rel=1e-14)
+    assert tau0_asymptotic(1.7e308, CODATA, mu) == 0.0
+    assert t0_lab(1e-200, CODATA, mu).t0 == math.inf
+    assert tau0_asymptotic(1e-200, CODATA, mu) == math.inf

@@ -216,21 +216,29 @@ def _fmt(value):
     return f"{float(value):.8e}"
 
 
+def _json_number(v):
+    """A float for JSON, or None (null) where v is None or not finite."""
+    if v is None:
+        return None
+    v = float(v)
+    return v if math.isfinite(v) else None
+
+
 def _emit(config, columns, rows, extra_tables=None, scalars=None):
     """Render rows to CSV or JSON and write to the configured destination."""
     if config.output_format == "json":
         payload = {
             "command": config.command,
             "columns": list(columns),
-            "rows": [[None if v is None else float(v) for v in row] for row in rows],
+            "rows": [[_json_number(v) for v in row] for row in rows],
         }
         if scalars:
-            payload["values"] = {k: (None if v is None else float(v))
-                                 for k, v in scalars.items()}
+            payload["values"] = {k: _json_number(v) for k, v in scalars.items()}
         for name, (cols, extra_rows) in (extra_tables or {}).items():
             payload[name] = {"columns": list(cols),
-                             "rows": [[float(v) for v in row] for row in extra_rows]}
-        _write_text(config.output_path, json.dumps(payload, sort_keys=True) + "\n")
+                             "rows": [[_json_number(v) for v in row] for row in extra_rows]}
+        _write_text(config.output_path,
+                    json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
         return
 
     lines = [",".join(columns)]

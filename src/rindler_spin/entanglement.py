@@ -234,17 +234,16 @@ def t0_lab(accel, constants, mu) -> LabDisentanglement:
     """Lab-frame disentanglement time t0 = (c/2a) exp[K/a^2], overflow-safe.
 
     Returns the pair (t0, log t0); t0 is inf when the exponent overflows,
-    log t0 = ln(c/2) - ln(a) + K/a^2 is exact either way, and finite
-    unless K/a^2 itself overflows (a below about 5e-122 cm/s^2 for the
-    electron).
+    log t0 = ln(c/2a) + K/a^2 is exact either way, and finite unless K/a^2
+    itself overflows (a below about 5e-122 cm/s^2 for the electron).
     """
     if not 0 < accel < math.inf:
         raise DomainError("t0_lab requires a finite accel > 0")
     exponent = lab_exponent_constant(constants, mu) / accel / accel  # no a**2 overflow
-    half_c = 0.5 * constants.c
-    log_t0 = math.log(half_c) - math.log(accel) + exponent  # no 2a overflow
+    prefactor = 0.5 * constants.c / accel  # c/(2a) without the 2a overflow
+    log_t0 = math.log(prefactor) + exponent
     try:
-        t0 = half_c / accel * math.exp(exponent)
+        t0 = prefactor * math.exp(exponent)
     except OverflowError:
         t0 = math.inf
     return LabDisentanglement(t0=t0, log_t0=log_t0)

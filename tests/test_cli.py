@@ -175,6 +175,28 @@ def test_json_format(capsys):
     assert payload["rows"][0][0] == 1.0
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_non_finite_is_null(capsys):
+    # t0 overflows at this accel; the asymptote 1/alpha^3 overflows at this alpha
+    code, out, _ = run_cli(capsys, "constants", "--accel", "1e26", "--format", "json")
+    assert code == 0
+    values = _strict_json(out)["values"]
+    assert values["t0_s"] is None
+    assert math.isfinite(values["log_t0"])
+    code, out, _ = run_cli(capsys, "surface", "--alpha-grid", "1e-120:1e-100:2",
+                           "--tau-grid", "0:1:2", "--format", "json")
+    assert code == 0
+    table = _strict_json(out)["tau0"]
+    assert table["rows"][0][2] is None          # alpha^3 = 1e-360 underflows
+    assert table["rows"][1][2] == pytest.approx(math.pi * math.log(3.0) / 1e-300, rel=1e-12)
+    assert all(row[1] > 0 for row in table["rows"])
+
+
 def test_output_determinism(capsys, tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (p1, p2):

@@ -16,7 +16,10 @@ n the Bose occupation at the bath temperature) are
 
 and ``rates_numeric`` recomputes all three by direct regulated quadrature
 plus Richardson extrapolation of the regulator to zero, as an independent
-check on the contour-integration results.
+check on the contour-integration results.  That oracle integrates its own
+dimensionless form of G (s in units of c/a, the prefactor folded into
+3 alpha^3 / 16 pi); it does not call ``wightman_rindler``, which is the
+correlator in physical units and is checked by its own tests.
 """
 
 from __future__ import annotations
@@ -181,6 +184,9 @@ def rates_numeric(alpha, schedule: EpsilonSchedule = EpsilonSchedule(),
     a conservative bound on the extrapolation error.  Raises for
     alpha < 0.1, where the oscillation outruns the default schedule, and
     when the residual exceeds ``residual_tol`` relative to the rate.
+
+    The integrand is the dimensionless sinh^-4((s - i eps)/2) of
+    ``_halfline_integral``, not a call to ``wightman_rindler``.
     """
     if alpha < MIN_NUMERIC_ALPHA:
         raise DomainError(

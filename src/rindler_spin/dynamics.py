@@ -19,13 +19,14 @@ independent route, ``evolve_numeric`` builds the generator of the full
 master equation from the jump operators themselves (the 4x4 superoperator
 vectorized to 16x16, Havel, J. Math. Phys. 44, 534 (2003), then taken to
 the real Pauli coefficient basis), forms the matrix of one classical RK4
-step and raises it to the number of steps.  In that basis the identity
-row of the generator is exactly zero, so every power of the step matrix
-keeps r_00, and with it the trace, exact.  All evolution happens in the
-renormalized (interaction) picture; the residual coherent rotation is a
-local unitary on the first spin and drops out of every observable
-computed downstream (populations along z, concurrence), so it is never
-applied.
+step and raises it to the number of steps; the power is cached per
+(rates, step length, step count), so the equal segments of a time grid
+share it.  In that basis the identity row of the generator is exactly
+zero, so every power of the step matrix keeps r_00, and with it the
+trace, exact.  All evolution happens in the renormalized (interaction)
+picture; the residual coherent rotation is a local unitary on the first
+spin and drops out of every observable computed downstream (populations
+along z, concurrence), so it is never applied.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .correlator import RateSet
 from .errors import (BlochBoundWarning, DomainError, IntegrationInstabilityError,
                      ValidationError)
-from .linalg4 import hermitian_eigenvalues
+from .linalg4 import jacobi_hermitian
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -111,7 +113,9 @@ class DensityMatrix:
 
     Construction does not validate, so near-boundary numerics can be
     probed; call :meth:`validate` (or the operations that require valid
-    input) to enforce hermiticity, unit trace, and positivity.
+    input) to enforce hermiticity, unit trace, and positivity.  Each
+    instance runs those checks and its one Hermitian eigensolve at most
+    once, because ``m`` is read-only.
     """
 
     m: np.ndarray
@@ -123,26 +127,35 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
+    @cached_property
+    def eigh(self):
+        """(values ascending, vectors) of ``m``, read-only, from one eigensolve."""
+        w, v = jacobi_hermitian(self.m)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
+
+    @cached_property
+    def _structural_defect(self):
+        """Why ``m`` fails the finite, Hermitian or unit-trace check, or None."""
+        m = self.m
+        if not np.isfinite(m).all():
+            return "density matrix has non-finite entries"
+        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+            return "density matrix is not Hermitian"
+        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+            return "density matrix must have unit trace"
+        return None
+
     def validate(self, psd_tol=PSD_TOL):
-        self.validate_hermitian_unit_trace()
-        if float(hermitian_eigenvalues(self.m)[0]) < -psd_tol:
+        if self._structural_defect is not None:
+            raise ValidationError(self._structural_defect)
+        if self.min_eigenvalue() < -psd_tol:
             raise ValidationError("density matrix has a negative eigenvalue")
         return self
 
-    def validate_hermitian_unit_trace(self):
-        """The checks of :meth:`validate` short of positivity, for callers that
-        take the spectrum themselves."""
-        m = self.m
-        if not np.isfinite(m).all():
-            raise ValidationError("density matrix has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValidationError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise ValidationError("density matrix must have unit trace")
-        return self
-
     def min_eigenvalue(self):
-        return float(hermitian_eigenvalues(self.m)[0])
+        return float(self.eigh[0][0])
 
 
 @dataclass(frozen=True)
@@ -219,15 +232,29 @@ def evolve_analytic(coeffs0: PauliCoefficients, rates: RateSet, tau) -> PauliCoe
     return PauliCoefficients(r)
 
 
+@lru_cache(maxsize=64)
+def _step_power(g_minus, g_plus, g_z, h, steps):
+    """P^steps for the RK4 step matrix P of length h at these rates; read-only.
+
+    Keyed on the rates as well as (h, steps), so one alpha never serves
+    another; 64 entries hold every segment length of a few time grids.
+    """
+    hg = h * (g_minus * _GEN_MINUS + g_plus * _GEN_PLUS + g_z * _GEN_Z)
+    step = _EYE16 + hg @ (_EYE16 + (hg / 2.0) @ (_EYE16 + (hg / 3.0) @ (_EYE16 + hg / 4.0)))
+    power = np.linalg.matrix_power(step, steps)
+    power.setflags(write=False)
+    return power
+
+
 def evolve_numeric(rho0: DensityMatrix, spec: LindbladSpec, tau) -> DensityMatrix:
     """Fixed-step classical RK4 integration of the master equation to time tau.
 
     The jump operators act on the first qubit (identity on the spectator).
     With G the Pauli-basis generator, one RK4 step of length h is the
     matrix P = I + hG(I + hG/2(I + hG/3(I + hG/4))), so ceil(tau/dt) steps
-    are the single power P^steps.  Preserves the trace exactly; raises
-    IntegrationInstabilityError if the result develops an eigenvalue
-    below -1e-8.
+    are the single power P^steps, cached per (rates, h, steps).
+    Preserves the trace exactly; raises IntegrationInstabilityError if the
+    result develops an eigenvalue below -1e-8.
     """
     if tau < 0:
         raise DomainError("tau must be nonnegative")
@@ -239,11 +266,9 @@ def evolve_numeric(rho0: DensityMatrix, spec: LindbladSpec, tau) -> DensityMatri
     if not math.isfinite(ratio):
         raise DomainError(f"tau/dt = {ratio} is not a finite step count")
     steps = max(1, math.ceil(ratio))
-    h = tau / steps
     rates = spec.rates
-    hg = h * (rates.g_minus * _GEN_MINUS + rates.g_plus * _GEN_PLUS + rates.g_z * _GEN_Z)
-    step = _EYE16 + hg @ (_EYE16 + (hg / 2.0) @ (_EYE16 + (hg / 3.0) @ (_EYE16 + hg / 4.0)))
-    r = np.linalg.matrix_power(step, steps) @ coeffs_from_density(rho0).r.reshape(16)
+    power = _step_power(rates.g_minus, rates.g_plus, rates.g_z, tau / steps, steps)
+    r = power @ coeffs_from_density(rho0).r.reshape(16)
 
     result = DensityMatrix(np.einsum("ij,ijab->ab", r.reshape(4, 4), PAULI2))
     min_eig = result.min_eigenvalue()

@@ -30,13 +30,12 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .correlator import alpha_cubed
-from .dynamics import PAULI2, PSD_TOL, DensityMatrix
+from .dynamics import PAULI2, DensityMatrix
 from .errors import DomainError, NumericError, ValidationError
-from .linalg4 import characteristic_roots, jacobi_hermitian
+from .linalg4 import characteristic_roots
 
 _SPIN_FLIP = PAULI2[2, 2].real  # sy x sy is real symmetric
 
-EIG_CLAMP = -PSD_TOL     # eigenvalue noise floor treated as zero (validate's bound)
 IMAG_EIG_TOL = 1e-8      # larger imaginary residuals signal an invalid state
 
 
@@ -83,12 +82,11 @@ def _wootters_lambdas(rho: DensityMatrix):
     the lambdas are then the singular values of the complex symmetric
     matrix W = Phi^T (sy x sy) Phi, taken from one SVD of W.  This keeps
     small lambdas accurate where the quartic of the squared product would
-    drown them in roundoff.
+    drown them in roundoff.  The eigendecomposition is the state's own
+    (``DensityMatrix.eigh``), shared with its positivity check; eigenvalues
+    that check lets through below zero count as zero.
     """
-    w, v = jacobi_hermitian(rho.m)
-    low = float(np.min(w))
-    if low < EIG_CLAMP:
-        raise ValidationError(f"density matrix has eigenvalue {low:.3e} < {EIG_CLAMP}")
+    w, v = rho.eigh
     phi = v * np.sqrt(np.clip(w, 0.0, None))
     return np.linalg.svd(phi.T @ _SPIN_FLIP @ phi, compute_uv=False)
 
@@ -96,10 +94,10 @@ def _wootters_lambdas(rho: DensityMatrix):
 def concurrence(rho: DensityMatrix) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
-    Validates as :meth:`DensityMatrix.validate` does, with the positivity
-    check taken from the one eigendecomposition the lambdas need.
+    Validates the state first; the validation and the lambdas share the
+    state's one eigendecomposition.
     """
-    rho.validate_hermitian_unit_trace()
+    rho.validate()
     lams = _wootters_lambdas(rho)
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
@@ -117,6 +115,8 @@ def concurrence_real(rho: DensityMatrix) -> float:
     rho.validate()
     product = rho.m.real @ _SPIN_FLIP
     roots = characteristic_roots(product)
+    if not np.isfinite(roots).all():
+        raise NumericError(f"characteristic roots {roots} are not all finite")
     scale = max(1.0, float(np.max(np.abs(roots))))
     worst_imag = float(np.max(np.abs(roots.imag)))
     if worst_imag > IMAG_EIG_TOL * scale:
@@ -178,8 +178,8 @@ def disentanglement_time(alpha) -> float:
     The crossing function is strictly decreasing from f(0) = 1, so the
     positive root is unique; found by bracket expansion plus bisection to
     1e-12 relative.  The bracket doubles until it holds the root, which
-    lies near 2 pi/alpha for small alpha; only a root beyond the float
-    range (alpha below about 3.5e-308) fails to bracket.
+    lies near 2 pi/alpha for small alpha.  Below alpha of about 3.5e-308
+    that root is beyond the float range, and DomainError says so.
     """
     if alpha <= 0:
         raise DomainError("disentanglement_time requires alpha > 0")
@@ -188,7 +188,9 @@ def disentanglement_time(alpha) -> float:
     while f(hi) > 0.0:
         hi *= 2.0
         if math.isinf(hi):
-            raise NumericError(f"could not bracket the concurrence zero for alpha={alpha}")
+            raise DomainError(
+                f"alpha = {alpha:g} is out of range: tau0 (about 2 pi/alpha) is not a "
+                "finite float below alpha of about 3.5e-308")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:

@@ -96,7 +96,11 @@ def quartic_roots(a3, a2, a1, a0):
 
 
 def _polish_root(coeffs, z, iters=3):
-    """Guarded Newton refinement; keeps a step only if it shrinks |p(z)|."""
+    """Guarded Newton refinement; keeps a step only if it shrinks |p(z)|.
+
+    Near a double root p'(z) is tiny, the step lands far away and p there
+    can overflow to inf - inf = nan; a nan |p| never counts as smaller.
+    """
     a3, a2, a1, a0 = coeffs
 
     def val(x):
@@ -109,7 +113,7 @@ def _polish_root(coeffs, z, iters=3):
             break
         cand = z - pz / dz
         pc = val(cand)
-        if abs(pc) >= abs(pz):
+        if not abs(pc) < abs(pz):
             break
         z, pz = cand, pc
     return z
@@ -140,5 +144,6 @@ def characteristic_roots(matrix, polish=True):
     coeffs = (-e1, e2, -e3, e4)
     roots = quartic_roots(*coeffs)
     if polish:
-        roots = np.array([_polish_root(coeffs, z) for z in roots])
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected steps may overflow
+            roots = np.array([_polish_root(coeffs, z) for z in roots])
     return roots

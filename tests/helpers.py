@@ -1,5 +1,6 @@
 """Shared builders for randomized states and the evolved-Bell family, and reference routes."""
 import math
+import sys
 
 import numpy as np
 
@@ -78,3 +79,25 @@ def rk4_reference(rho0: DensityMatrix, rates, tau, dt):
         k4 = rhs(rho + h * k3)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return DensityMatrix(rho)
+
+
+def count_eigensolves(monkeypatch):
+    """Record each Hermitian eigensolve the package runs; returns the list of names.
+
+    Wraps ``jacobi_hermitian`` and ``hermitian_eigenvalues`` at every place
+    they are bound across the ``rindler_spin`` modules, as ``from`` imports
+    copy the binding.
+    """
+    from rindler_spin import linalg4
+    calls = []
+    for name in ("jacobi_hermitian", "hermitian_eigenvalues"):
+        original = getattr(linalg4, name)
+
+        def counted(m, _fn=original, _name=name):
+            calls.append(_name)
+            return _fn(m)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("rindler_spin") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls

@@ -263,6 +263,8 @@ def test_numeric_error_exit_code(capsys):
     (["constants", "--accel", "1e-200"], 0),
     (["constants", "--accel", "1.7e308"], 2),              # 2 accel overflowed in t0_lab
     (["constants", "--accel", "inf"], 2),
+    (["curve", "--alpha", "3e-308"], 2),                   # tau0 ~ 2 pi/alpha is not a float
+    (["curve", "--alpha", "1e-309"], 2),
 ])
 def test_extreme_alpha_exit_codes(argv, expected):
     src = str(Path(rindler_spin.__file__).resolve().parents[1])

@@ -9,7 +9,7 @@ from rindler_spin import (BlochBoundWarning, DensityMatrix, DomainError,
                           coeffs_from_density, density_from_coefficients,
                           evolve_analytic, evolve_numeric, rates_closed,
                           steady_state)
-from rindler_spin.dynamics import SIGMA
+from rindler_spin.dynamics import SIGMA, _step_power
 
 from helpers import bell_density, random_density, rk4_reference
 
@@ -165,6 +165,35 @@ def test_evolve_numeric_matches_reference_loop(alpha):
             out = evolve_numeric(rho0, spec, tau)
             ref = rk4_reference(rho0, rates, tau, dt)
             assert np.max(np.abs(out.m - ref.m)) < 1e-13
+
+
+def test_evolve_numeric_cached_propagator():
+    # a warm cache gives the cold result bit for bit, and still the loop's
+    rates = rates_closed(1.0)
+    spec = LindbladSpec(rates=rates, dt=1e-3)
+    rho0 = density_from_coefficients(bell_state())
+    _step_power.cache_clear()
+    cold = evolve_numeric(rho0, spec, 0.25)
+    warm = evolve_numeric(rho0, spec, 0.25)
+    assert _step_power.cache_info().hits == 1
+    assert np.array_equal(cold.m, warm.m)
+    assert np.max(np.abs(warm.m - rk4_reference(rho0, rates, 0.25, 1e-3).m)) < 1e-13
+    power = _step_power(rates.g_minus, rates.g_plus, rates.g_z, 1e-3, 250)
+    assert not power.flags.writeable
+    with pytest.raises(ValueError):
+        power[0, 0] = 0.0
+    # the key holds the rates: another alpha with the same steps is its own entry
+    other = evolve_numeric(rho0, LindbladSpec(rates=rates_closed(2.0), dt=1e-3), 0.25)
+    assert _step_power.cache_info().misses == 2
+    assert not np.array_equal(other.m, warm.m)
+
+
+def test_density_eigh_read_only():
+    rho = density_from_coefficients(bell_state())
+    w, v = rho.eigh
+    assert rho.eigh[0] is w
+    assert not w.flags.writeable and not v.flags.writeable
+    assert rho.min_eigenvalue() == w[0]
 
 
 def test_evolve_numeric_high_temperature():

@@ -11,10 +11,11 @@ from rindler_spin import (CODATA, DensityMatrix, DomainError, NumericError,
                           evolve_analytic, gamma0, lab_exponent_constant,
                           rates_closed, relaxation_times, steady_state,
                           t0_lab, tau0_asymptotic)
-from rindler_spin.dynamics import SIGMA
+from rindler_spin.dynamics import PAULI2, SIGMA
+from rindler_spin.linalg4 import characteristic_roots
 
-from helpers import (bell_density, evolved_bell_density, random_density,
-                     random_unitary2, wootters_reference)
+from helpers import (bell_density, count_eigensolves, evolved_bell_density,
+                     random_density, random_unitary2, wootters_reference)
 
 # frozen oracle values, mpmath dps=50
 GAMMA1_A1 = 2.0074837463946426
@@ -106,20 +107,25 @@ def test_concurrence_rejects_invalid_state():
 
 
 def test_concurrence_single_eigensolve(monkeypatch):
-    import rindler_spin.dynamics as dynamics
-    import rindler_spin.entanglement as entanglement
-    calls = []
-
-    def counted(fn):
-        def wrapper(m):
-            calls.append(fn.__name__)
-            return fn(m)
-        return wrapper
-
-    monkeypatch.setattr(dynamics, "hermitian_eigenvalues", counted(dynamics.hermitian_eigenvalues))
-    monkeypatch.setattr(entanglement, "jacobi_hermitian", counted(entanglement.jacobi_hermitian))
-    concurrence(evolved_bell_density(1.0, 1.0))
+    calls = count_eigensolves(monkeypatch)
+    rho = evolved_bell_density(1.0, 1.0)
+    concurrence(rho)
     assert calls == ["jacobi_hermitian"]
+    # the spectrum is the state's own: validate and the real route reuse it
+    rho.validate()
+    concurrence_real(rho)
+    assert calls == ["jacobi_hermitian"]
+
+
+def test_curve_one_eigensolve_per_state(monkeypatch):
+    # the curve pipeline: evolve segment by segment, concurrence per sample
+    from rindler_spin.cli import _numeric_concurrence_trace
+    calls = count_eigensolves(monkeypatch)
+    taus = np.linspace(0.0, 5.0, 120)
+    values = _numeric_concurrence_trace(1.0, taus)
+    assert len(values) == 120
+    # the Bell state plus 119 evolved states, each solved once
+    assert calls == ["jacobi_hermitian"] * 120
 
 
 def test_concurrence_real_bell_and_mixed():
@@ -132,6 +138,24 @@ def test_concurrence_real_matches_general_route():
     for _ in range(100):
         rho = random_density(rng, real=True)
         assert concurrence_real(rho) == pytest.approx(concurrence(rho), abs=1e-9)
+
+
+def test_concurrence_real_double_root():
+    # rho (sy x sy) has two double roots here; a Newton step from one
+    # overflowed p(z) to nan, and the nan root was kept
+    alpha, tau = 6.393839029309495, float(np.linspace(0.0, 5.0, 120)[108])
+    rho = density_from_coefficients(evolve_analytic(bell_state(), rates_closed(alpha), tau))
+    roots = characteristic_roots(rho.m.real @ PAULI2[2, 2].real)
+    assert np.isfinite(roots).all()
+    assert concurrence_real(rho) == pytest.approx(concurrence(rho), abs=1e-9)
+
+
+def test_concurrence_real_rejects_non_finite_roots(monkeypatch):
+    import rindler_spin.entanglement as entanglement
+    monkeypatch.setattr(entanglement, "characteristic_roots",
+                        lambda m: np.array([np.nan, np.nan, 0.5, -0.5], dtype=complex))
+    with pytest.raises(NumericError, match="not all finite"):
+        concurrence_real(bell_density())
 
 
 def test_concurrence_real_requires_real_input():
@@ -248,8 +272,9 @@ def test_disentanglement_time_small_alpha():
     # the bracket keeps doubling (past 600 times) until it holds the root
     for alpha in (1e-120, 1e-300):
         assert disentanglement_time(alpha) == pytest.approx(2.0 * math.pi / alpha, rel=1e-9)
-    with pytest.raises(NumericError):  # pi/alpha overflows: no finite root
-        disentanglement_time(5e-324)
+    for alpha in (3e-308, 1e-309, 5e-324):  # the root ~2 pi/alpha is not a float
+        with pytest.raises(DomainError, match="3.5e-308"):
+            disentanglement_time(alpha)
 
 
 def test_concurrence_curve_structure():

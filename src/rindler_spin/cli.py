@@ -3,7 +3,8 @@
 Subcommands
 -----------
 rates      one row per alpha: occupation, flip/dephasing rates, T1, T2;
-           ``--oracle`` adds the quadrature cross-check columns.
+           ``--oracle`` adds the quadrature cross-check columns (blank
+           below alpha 0.4, where the quadrature is refused).
 curve      concurrence decay of the Bell pair at fixed alpha, closed form
            next to the full master-equation route, with tau0 on the last row.
 surface    long-format concurrence over an (alpha, tau) grid plus a second
@@ -17,8 +18,10 @@ constants  physical-unit restoration for an electron-like moment: gamma0,
 Output is CSV (comma separated, 9 significant digits, mandatory header) or
 JSON; identical configurations produce byte-identical files.  Flags win
 over the config file (``--config`` or $RINDLER_SPIN_CONFIG, ``key = value``
-lines with ``#`` comments), which wins over built-in defaults.  Exit codes:
-0 success, 2 argument error, 3 numeric error, 4 I/O error.
+lines with ``#`` comments), which wins over built-in defaults.  The
+``_SETTINGS`` table is the single list of those settings: each key is a
+config key and, with ``-`` for ``_``, a flag.  Exit codes: 0 success,
+2 argument error, 3 numeric error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -37,8 +38,9 @@ from . import entanglement
 from .correlator import MIN_NUMERIC_ALPHA, rates_closed, rates_numeric
 from .dynamics import (LindbladSpec, bell_state, density_from_coefficients,
                        evolve_numeric)
-from .entanglement import (disentanglement_time, lab_exponent_constant,
-                           relaxation_times, t0_lab, tau0_asymptotic)
+from .entanglement import (concurrence_curve, disentanglement_time,
+                           lab_exponent_constant, relaxation_times, t0_lab,
+                           tau0_asymptotic)
 from .errors import DomainError, NumericError, RindlerSpinError, ValidationError
 from .kinematics import AccelerationProfile, rindler_event, worldline
 from .params import CODATA, alpha_of, gamma0, unruh_temperature
@@ -48,28 +50,10 @@ EXPONENT_REFERENCE_M2S4 = 3.8e61  # reference electron value of the t0 exponent 
 
 _KNOWN_PROFILES = ("constant:a", "sinusoid:a0,omega", "zero")
 
-# figure-range defaults
-_RATES_GRID = "0.05:10:200:log"
-_SURFACE_ALPHA_GRID = "0.5:5:60"
-_TAU_GRID = "0:5:120"
-_WORLDLINE_TAU_GRID = "0:5:101"
-
-
-@dataclass
-class RunConfig:
-    """Resolved settings for one CLI invocation."""
-
-    command: str
-    alpha_grid: np.ndarray = field(default_factory=lambda: np.array([]))
-    tau_grid: np.ndarray = field(default_factory=lambda: np.array([]))
-    output_format: str = "csv"
-    output_path: Optional[str] = None
-    oracle: bool = False
-    profile: str = "constant:1"
-    mu: float = CODATA.bohr_magneton
-    gap: float = 2.0 * CODATA.bohr_magneton   # electron moment in a 1 G field
-    accel: Optional[float] = None
-    target_t0: Optional[float] = None
+# figure-range grid defaults per command; the others run at alpha = 1, tau 0..5
+_ALPHA_GRIDS = {"rates": "0.05:10:200:log", "surface": "0.5:5:60"}
+_TAU_GRIDS = {"worldline": "0:5:101"}
+_FORMATS = ("csv", "json")
 
 
 class _ArgumentError(RindlerSpinError, ValueError):
@@ -136,83 +120,86 @@ def _load_config_file(path):
     return settings
 
 
-_CONFIG_KEYS = {"alpha", "alpha_grid", "tau_grid", "format", "out", "oracle",
-                "profile", "mu", "gap", "accel", "target_t0"}
+def _to_bool(text):
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+#: every setting: config key and argparse dest -> (converter for config-file
+#: text, default, argparse options).  Grids stay text until _resolve_config,
+#: where their defaults depend on the command.
+_SETTINGS = {
+    "alpha": (float, None, dict(help="single dimensionless acceleration")),
+    "alpha_grid": (str, None, dict(metavar="LO:HI:N[:log]", help="alpha sweep grid")),
+    "tau_grid": (str, None, dict(
+        metavar="LO:HI:N", help="proper-time grid, gamma0^-1 units (worldline: c=1 units)")),
+    "oracle": (_to_bool, False, dict(
+        action="store_const", const=True,
+        help="rates: add regulated-quadrature cross-check columns")),
+    "format": (str, "csv", dict(choices=_FORMATS, help="output format")),
+    "out": (str, None, dict(help="output file path (default: stdout)")),
+    "profile": (str, "constant:1", dict(
+        metavar="NAME[:PARAMS]",
+        help=f"worldline profile, one of: {', '.join(_KNOWN_PROFILES)}")),
+    "mu": (float, CODATA.bohr_magneton, dict(help="magnetic moment, erg/G")),
+    "gap": (float, 2.0 * CODATA.bohr_magneton,   # electron moment in a 1 G field
+            dict(help="energy gap, erg")),
+    "accel": (float, None, dict(help="acceleration, cm/s^2")),
+    "target_t0": (float, None, dict(
+        help="constants: solve for the acceleration giving this t0 (s)")),
+}
 
 
 def _resolve_config(args):
+    """Fill ``args`` in place: flag, else config file, else default; parse the grids."""
     path = args.config or os.environ.get(CONFIG_ENV)
     cfg = _load_config_file(path) if path else {}
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - set(_SETTINGS)
     if unknown:
         raise _ArgumentError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    def pick(flag_value, key, default, convert):
-        if flag_value is not None:
-            return flag_value
+    for key, (convert, default, _) in _SETTINGS.items():
+        if getattr(args, key) is not None:
+            continue
+        value = default
         if key in cfg:
             try:
-                return convert(cfg[key])
+                value = convert(cfg[key])
             except (TypeError, ValueError) as exc:
                 raise _ArgumentError(f"config key {key}: {exc}") from exc
-        return default
+        setattr(args, key, value)
 
-    def to_bool(text):
-        lowered = text.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
-
-    command = args.command
-    alpha = pick(getattr(args, "alpha", None), "alpha", None, float)
-    alpha_grid_spec = pick(getattr(args, "alpha_grid", None), "alpha_grid", None, str)
-    tau_default = _WORLDLINE_TAU_GRID if command == "worldline" else _TAU_GRID
-    tau_spec = pick(getattr(args, "tau_grid", None), "tau_grid", tau_default, str)
-
-    if alpha is not None and alpha_grid_spec is not None:
+    if args.alpha is not None and args.alpha_grid is not None:
         raise _ArgumentError("give either --alpha or --alpha-grid, not both")
-    if alpha is not None:
-        alpha_grid = np.array([alpha], dtype=float)
-    elif alpha_grid_spec is not None:
-        alpha_grid = _parse_grid(alpha_grid_spec, "--alpha-grid")
-    elif command == "rates":
-        alpha_grid = _parse_grid(_RATES_GRID, "--alpha-grid")
-    elif command == "surface":
-        alpha_grid = _parse_grid(_SURFACE_ALPHA_GRID, "--alpha-grid")
+    if args.alpha is not None:
+        args.alpha_grid = np.array([args.alpha], dtype=float)
     else:
-        alpha_grid = np.array([1.0])
+        if args.alpha_grid is None:
+            args.alpha_grid = _ALPHA_GRIDS.get(args.command, "1:1:1")
+        args.alpha_grid = _parse_grid(args.alpha_grid, "--alpha-grid")
+    if args.tau_grid is None:
+        args.tau_grid = _TAU_GRIDS.get(args.command, "0:5:120")
+    args.tau_grid = _parse_grid(args.tau_grid, "--tau-grid")
 
-    config = RunConfig(
-        command=command,
-        alpha_grid=alpha_grid,
-        tau_grid=_parse_grid(tau_spec, "--tau-grid"),
-        output_format=pick(getattr(args, "format", None), "format", "csv", str),
-        output_path=pick(getattr(args, "out", None), "out", None, str),
-        oracle=bool(pick(getattr(args, "oracle", None), "oracle", False, to_bool)),
-        profile=pick(getattr(args, "profile", None), "profile", "constant:1", str),
-        mu=pick(getattr(args, "mu", None), "mu", CODATA.bohr_magneton, float),
-        gap=pick(getattr(args, "gap", None), "gap", 2.0 * CODATA.bohr_magneton, float),
-        accel=pick(getattr(args, "accel", None), "accel", None, float),
-        target_t0=pick(getattr(args, "target_t0", None), "target_t0", None, float),
-    )
-    if config.output_format not in ("csv", "json"):
-        raise _ArgumentError(f"unknown format {config.output_format!r} (csv or json)")
-    if config.alpha_grid.size == 0 or config.tau_grid.size == 0:
+    if args.format not in _FORMATS:
+        raise _ArgumentError(f"unknown format {args.format!r} (csv or json)")
+    if args.alpha_grid.size == 0 or args.tau_grid.size == 0:
         raise _ArgumentError("grids must be nonempty")
-    if config.alpha_grid.size > 1 and np.any(np.diff(config.alpha_grid) <= 0):
+    if args.alpha_grid.size > 1 and np.any(np.diff(args.alpha_grid) <= 0):
         raise _ArgumentError("alpha grid must be strictly increasing")
-    if config.mu <= 0 or config.gap <= 0:
+    if args.mu <= 0 or args.gap <= 0:
         raise _ArgumentError("--mu and --gap must be positive")
-    return config
+    return args
 
 
 def _fmt(value):
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, str):
+        return value
     return f"{float(value):.8e}"
 
 
@@ -224,9 +211,14 @@ def _json_number(v):
     return v if math.isfinite(v) else None
 
 
+def _csv(columns, rows):
+    return "\n".join([",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+
+
 def _emit(config, columns, rows, extra_tables=None, scalars=None):
-    """Render rows to CSV or JSON and write to the configured destination."""
-    if config.output_format == "json":
+    """Render rows (or key/value scalars) to CSV or JSON at the configured destination."""
+    extra_tables = extra_tables or {}
+    if config.format == "json":
         payload = {
             "command": config.command,
             "columns": list(columns),
@@ -234,24 +226,21 @@ def _emit(config, columns, rows, extra_tables=None, scalars=None):
         }
         if scalars:
             payload["values"] = {k: _json_number(v) for k, v in scalars.items()}
-        for name, (cols, extra_rows) in (extra_tables or {}).items():
+        for name, (cols, extra_rows) in extra_tables.items():
             payload[name] = {"columns": list(cols),
                              "rows": [[_json_number(v) for v in row] for row in extra_rows]}
-        _write_text(config.output_path,
-                    json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+        _write_text(config.out, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
         return
 
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    _write_text(config.output_path, text)
-    for name, (cols, extra_rows) in (extra_tables or {}).items():
-        extra_text = "\n".join([",".join(cols)]
-                               + [",".join(_fmt(v) for v in row) for row in extra_rows]) + "\n"
-        if config.output_path is None:
-            _write_text(None, "\n" + extra_text)
+    if scalars:
+        columns, rows = ("key", "value"), scalars.items()
+    _write_text(config.out, _csv(columns, rows))
+    for name, (cols, extra_rows) in extra_tables.items():
+        text = _csv(cols, extra_rows)
+        if config.out is None:
+            _write_text(None, "\n" + text)
         else:
-            _write_text(_companion_path(config.output_path, name), extra_text)
+            _write_text(_companion_path(config.out, name), text)
 
 
 def _companion_path(path, suffix):
@@ -270,7 +259,7 @@ def _write_text(path, text):
         raise _IOFailure(f"cannot write output file {path}: {exc}") from exc
 
 
-def cmd_rates(config: RunConfig):
+def cmd_rates(config):
     columns = ["alpha", "n", "g_plus", "g_minus", "g_z", "T1", "T2"]
     if config.oracle:
         columns += ["g_plus_numeric", "g_minus_numeric", "oracle_residual"]
@@ -289,7 +278,7 @@ def cmd_rates(config: RunConfig):
                 )
                 row += [num.g_plus, num.g_minus, resid]
             else:
-                row += [None, None, None]  # quadrature refuses alpha < 0.1
+                row += [None, None, None]  # the quadrature refuses alpha < MIN_NUMERIC_ALPHA
         rows.append(row)
     _emit(config, columns, rows)
 
@@ -310,7 +299,7 @@ def _numeric_concurrence_trace(alpha, taus):
     return out
 
 
-def cmd_curve(config: RunConfig):
+def cmd_curve(config):
     if config.alpha_grid.size != 1:
         raise _ArgumentError("curve needs a single --alpha")
     alpha = float(config.alpha_grid[0])
@@ -319,34 +308,29 @@ def cmd_curve(config: RunConfig):
     taus = config.tau_grid
     if np.any(taus < 0) or np.any(np.diff(taus) <= 0):
         raise _ArgumentError("tau grid must be nonnegative and strictly increasing")
-    closed = [entanglement.concurrence_closed(alpha, float(t)) for t in taus]
+    curve = concurrence_curve(alpha, taus)
     numeric = _numeric_concurrence_trace(alpha, taus)
-    tau0 = disentanglement_time(alpha)
-    rows = []
-    for i, tau in enumerate(taus):
-        rows.append([tau, closed[i], numeric[i],
-                     tau0 if i == len(taus) - 1 else None])
+    rows = [[tau, c, c_numeric, None]
+            for (tau, c), c_numeric in zip(curve.samples, numeric)]
+    rows[-1][-1] = curve.tau0
     _emit(config, ["tau", "c_closed", "c_numeric", "tau0"], rows)
 
 
-def cmd_surface(config: RunConfig):
+def cmd_surface(config):
     alphas = config.alpha_grid
     if np.any(alphas <= 0):
         raise _ArgumentError("surface requires alpha > 0")
-    taus = config.tau_grid
-    rows = [[a, t, entanglement.concurrence_closed(float(a), float(t))]
-            for a in alphas for t in taus]
-    zero_rows = []
+    rows, zero_rows = [], []
     for a in alphas:
-        tau0 = disentanglement_time(float(a))  # first: rejects alpha^3 overflow
+        curve = concurrence_curve(float(a), config.tau_grid)  # DomainError before a**3 overflows
+        rows += [[a, tau, c] for tau, c in curve.samples]
         cube = float(a) ** 3
-        asym = math.pi * math.log(3.0) / cube if cube > 0 else math.inf
-        zero_rows.append([a, tau0, asym])
+        zero_rows.append([a, curve.tau0, math.pi * math.log(3.0) / cube if cube > 0 else math.inf])
     _emit(config, ["alpha", "tau", "c"], rows,
           extra_tables={"tau0": (["alpha", "tau0", "tau0_asymptotic"], zero_rows)})
 
 
-def cmd_worldline(config: RunConfig):
+def cmd_worldline(config):
     """Trajectory dump in units with c = 1 (supply a and tau consistently)."""
     profile = _parse_profile(config.profile)
     taus = config.tau_grid
@@ -401,7 +385,7 @@ def _solve_accel_for_t0(target_t0, mu):
     return math.sqrt(lo * hi)
 
 
-def cmd_constants(config: RunConfig):
+def cmd_constants(config):
     if config.accel is None and config.target_t0 is None:
         raise _ArgumentError("constants needs --accel (or --target-t0 to invert)")
     mu, gap = config.mu, config.gap
@@ -427,20 +411,16 @@ def cmd_constants(config: RunConfig):
         "exponent_constant_m2_s4": exponent_si,
         "exponent_rel_dev_from_3.8e61": abs(exponent_si - EXPONENT_REFERENCE_M2S4) / EXPONENT_REFERENCE_M2S4,
     }
-    if config.output_format == "json":
-        _emit(config, [], [], scalars=values)
-    else:
-        rows = [[k, _fmt(v)] for k, v in values.items()]
-        text = "\n".join(["key,value"] + [f"{k},{v}" for k, v in rows]) + "\n"
-        _write_text(config.output_path, text)
+    _emit(config, [], [], scalars=values)
 
 
+#: subcommand -> (function, help)
 _COMMANDS = {
-    "rates": cmd_rates,
-    "curve": cmd_curve,
-    "surface": cmd_surface,
-    "worldline": cmd_worldline,
-    "constants": cmd_constants,
+    "rates": (cmd_rates, "rate and relaxation-time sweep over alpha"),
+    "curve": (cmd_curve, "concurrence decay at fixed alpha (closed form + master equation)"),
+    "surface": (cmd_surface, "concurrence over an (alpha, tau) grid plus zero crossings"),
+    "worldline": (cmd_worldline, "proper-time trajectory dump (units with c = 1)"),
+    "constants": (cmd_constants, "physical-unit outputs for an electron-like moment"),
 }
 
 
@@ -450,30 +430,13 @@ def _build_parser():
         description="Entanglement decay of an accelerated spin pair: "
                     "rates, concurrence curves, worldlines, physical units.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("rates", "rate and relaxation-time sweep over alpha"),
-            ("curve", "concurrence decay at fixed alpha (closed form + master equation)"),
-            ("surface", "concurrence over an (alpha, tau) grid plus zero crossings"),
-            ("worldline", "proper-time trajectory dump (units with c = 1)"),
-            ("constants", "physical-unit outputs for an electron-like moment")):
+    for name, (_, helptext) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--alpha", type=float, help="single dimensionless acceleration")
-        p.add_argument("--alpha-grid", dest="alpha_grid", metavar="LO:HI:N[:log]",
-                       help="alpha sweep grid")
-        p.add_argument("--tau-grid", dest="tau_grid", metavar="LO:HI:N",
-                       help="proper-time grid, gamma0^-1 units (worldline: c=1 units)")
-        p.add_argument("--oracle", action="store_const", const=True, default=None,
-                       help="rates: add regulated-quadrature cross-check columns")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--out", help="output file path (default: stdout)")
+        for key, (convert, _, options) in _SETTINGS.items():
+            if "action" not in options:
+                options = dict(options, type=convert)
+            p.add_argument("--" + key.replace("_", "-"), **options)
         p.add_argument("--config", help=f"config file (also ${CONFIG_ENV})")
-        p.add_argument("--profile", metavar="NAME[:PARAMS]",
-                       help=f"worldline profile, one of: {', '.join(_KNOWN_PROFILES)}")
-        p.add_argument("--mu", type=float, help="magnetic moment, erg/G")
-        p.add_argument("--gap", type=float, help="energy gap, erg")
-        p.add_argument("--accel", type=float, help="acceleration, cm/s^2")
-        p.add_argument("--target-t0", dest="target_t0", type=float,
-                       help="constants: solve for the acceleration giving this t0 (s)")
     return parser
 
 
@@ -482,7 +445,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-        _COMMANDS[config.command](config)
+        _COMMANDS[config.command][0](config)
     except (_ArgumentError, DomainError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

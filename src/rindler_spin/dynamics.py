@@ -88,9 +88,13 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliCoefficients:
-    """Real 4x4 coefficient array r_ij of the Pauli tensor expansion."""
+    """Real 4x4 coefficient array r_ij of the Pauli tensor expansion.
+
+    Compared and hashed by identity (``eq=False``): the array field has no
+    single truth value.
+    """
 
     r: np.ndarray
 
@@ -103,11 +107,8 @@ class PauliCoefficients:
         r.setflags(write=False)
         object.__setattr__(self, "r", r)
 
-    def bloch_vector_norm_sq(self):
-        return bloch_norm(self)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Dense 4x4 complex density operator.
 
@@ -115,7 +116,7 @@ class DensityMatrix:
     probed; call :meth:`validate` (or the operations that require valid
     input) to enforce hermiticity, unit trace, and positivity.  Each
     instance runs those checks and its one Hermitian eigensolve at most
-    once, because ``m`` is read-only.
+    once, because ``m`` is read-only.  Compared and hashed by identity.
     """
 
     m: np.ndarray
@@ -147,10 +148,10 @@ class DensityMatrix:
             return "density matrix must have unit trace"
         return None
 
-    def validate(self, psd_tol=PSD_TOL):
+    def validate(self):
         if self._structural_defect is not None:
             raise ValidationError(self._structural_defect)
-        if self.min_eigenvalue() < -psd_tol:
+        if self.min_eigenvalue() < -PSD_TOL:
             raise ValidationError("density matrix has a negative eigenvalue")
         return self
 
@@ -176,11 +177,13 @@ class LindbladSpec:
 
 
 def coeffs_from_density(rho: DensityMatrix) -> PauliCoefficients:
-    """Extract r_ij = Tr(rho s_i x s_j)/4; inverse of density_from_coefficients."""
-    m = rho.m
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        raise ValidationError("density matrix is not Hermitian")
-    return PauliCoefficients(np.einsum("ab,ijba->ij", m, PAULI2).real / 4.0)
+    """Extract r_ij = Tr(rho s_i x s_j)/4; inverse of density_from_coefficients.
+
+    Requires a finite, Hermitian, unit-trace matrix (positivity is not checked).
+    """
+    if rho._structural_defect is not None:
+        raise ValidationError(rho._structural_defect)
+    return PauliCoefficients(np.einsum("ab,ijba->ij", rho.m, PAULI2).real / 4.0)
 
 
 def density_from_coefficients(coeffs: PauliCoefficients) -> DensityMatrix:

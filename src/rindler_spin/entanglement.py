@@ -204,7 +204,7 @@ def disentanglement_time(alpha) -> float:
 
 def concurrence_curve(alpha, tau_grid: Sequence[float]) -> ConcurrenceCurve:
     """Closed-form concurrence samples at fixed alpha with tau0 attached."""
-    samples = tuple((float(t), concurrence_closed(alpha, t)) for t in tau_grid)
+    samples = tuple((t, concurrence_closed(alpha, t)) for t in map(float, tau_grid))
     return ConcurrenceCurve(alpha=alpha, samples=samples,
                             tau0=disentanglement_time(alpha))
 

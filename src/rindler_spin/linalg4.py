@@ -119,7 +119,7 @@ def _polish_root(coeffs, z, iters=3):
     return z
 
 
-def characteristic_roots(matrix, polish=True):
+def characteristic_roots(matrix):
     """Eigenvalues of a real 4x4 matrix via its characteristic quartic.
 
     The monic characteristic polynomial is assembled from power-sum traces
@@ -143,7 +143,5 @@ def characteristic_roots(matrix, polish=True):
 
     coeffs = (-e1, e2, -e3, e4)
     roots = quartic_roots(*coeffs)
-    if polish:
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected steps may overflow
-            roots = np.array([_polish_root(coeffs, z) for z in roots])
-    return roots
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected steps may overflow
+        return np.array([_polish_root(coeffs, z) for z in roots])

@@ -64,6 +64,20 @@ def test_rates_oracle_below_cutoff_blank(capsys):
     assert rows[0][-3:] == [None, None, None]
 
 
+def test_rates_oracle_default_grid(capsys):
+    # the documented oracle line on the default grid: blank below the quadrature floor
+    code, out, _ = run_cli(capsys, "rates", "--oracle")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 200
+    for row in rows:
+        if row[0] < 0.4:
+            assert row[-3:] == [None, None, None]
+        else:
+            assert row[-1] <= 1e-4
+    assert sum(row[0] >= 0.4 for row in rows) > 100
+
+
 def test_curve_rows_and_tau0(capsys):
     code, out, _ = run_cli(capsys, "curve", "--alpha", "1", "--tau-grid", "0:2:9")
     assert code == 0
@@ -215,6 +229,61 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     # explicit flag beats the config file
     code, out, _ = run_cli(capsys, "rates", "--config", str(cfg), "--alpha", "1")
     assert json.loads(out)["rows"][0][0] == 1.0
+
+
+#: (key, base argv, config value, the same setting as flags, a flag that overrides it)
+SETTING_CASES = [
+    ("alpha", ["rates"], "2", ["--alpha", "2"], ["--alpha", "3"]),
+    ("alpha_grid", ["rates"], "0.5:2:4", ["--alpha-grid", "0.5:2:4"], ["--alpha-grid", "1:2:2"]),
+    ("tau_grid", ["curve", "--alpha", "1"], "0:1:3", ["--tau-grid", "0:1:3"],
+     ["--tau-grid", "0:1:5"]),
+    ("format", ["rates", "--alpha", "1"], "json", ["--format", "json"], ["--format", "csv"]),
+    ("out", ["rates", "--alpha", "1"], "a.csv", ["--out", "a.csv"], ["--out", "b.csv"]),
+    ("oracle", ["rates", "--alpha", "1"], "yes", ["--oracle"], None),  # the flag only sets it
+    ("profile", ["worldline", "--tau-grid", "0:1:3"], "sinusoid:1,2",
+     ["--profile", "sinusoid:1,2"], ["--profile", "zero"]),
+    ("mu", ["constants", "--accel", "1e20"], "2e-20", ["--mu", "2e-20"], ["--mu", "1e-20"]),
+    ("gap", ["constants", "--accel", "1e20"], "3e-20", ["--gap", "3e-20"], ["--gap", "1e-20"]),
+    ("accel", ["constants"], "1e20", ["--accel", "1e20"], ["--accel", "2e20"]),
+    ("target_t0", ["constants"], "100", ["--target-t0", "100"], ["--target-t0", "1e4"]),
+]
+
+
+@pytest.mark.parametrize("key, base, value, as_flags, override", SETTING_CASES,
+                         ids=[case[0] for case in SETTING_CASES])
+def test_config_every_setting(capsys, tmp_path, monkeypatch, key, base, value, as_flags,
+                              override):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+
+    def run(*argv):
+        """Exit code, stdout and the files the run wrote into the working directory."""
+        code, out, _ = run_cli(capsys, *argv)
+        files = {}
+        for path in sorted(work.iterdir()):
+            files[path.name] = path.read_text()
+            path.unlink()
+        return code, out, files
+
+    from_config = run(*base, "--config", str(cfg))
+    from_flags = run(*base, *as_flags)
+    assert from_config == from_flags
+    assert from_flags != run(*base)          # the value is not the default
+    if override is not None:
+        overridden = run(*base, *override)
+        assert run(*base, *override, "--config", str(cfg)) == overridden
+        assert overridden != from_flags
+
+
+def test_config_oracle_flag_wins(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("oracle = no\n")
+    code, out, _ = run_cli(capsys, "rates", "--alpha", "1", "--config", str(cfg), "--oracle")
+    assert code == 0
+    assert parse_csv(out)[0][-1] == "oracle_residual"
 
 
 def test_config_env_var(capsys, tmp_path, monkeypatch):

@@ -61,6 +61,24 @@ def test_coeffs_rejects_non_hermitian():
         coeffs_from_density(DensityMatrix(bad))
 
 
+def test_coeffs_rejects_non_finite():
+    bad = np.eye(4, dtype=complex) / 4.0
+    bad[1, 2] = bad[2, 1] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        coeffs_from_density(DensityMatrix(bad))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DensityMatrix(np.eye(4) / 4.0),
+    lambda: PauliCoefficients(np.diag([0.25, 0.0, 0.0, 0.0])),
+], ids=["DensityMatrix", "PauliCoefficients"])
+def test_state_classes_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
 def test_density_identity_from_trace_only():
     r = np.zeros((4, 4))
     r[0, 0] = 0.25

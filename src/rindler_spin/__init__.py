@@ -12,9 +12,8 @@ from .params import (CODATA, OperatingPoint, PhysicalConstants, alpha_of,
                      unruh_temperature)
 from .kinematics import (AccelerationProfile, WorldlineEvent, rapidity,
                          rindler_event, thomas_omega, worldline)
-from .correlator import (EpsilonSchedule, RateSet, bose_occupation,
-                         rates_closed, rates_numeric, wightman_flat,
-                         wightman_rindler)
+from .correlator import (RateSet, bose_occupation, rates_closed,
+                         rates_numeric, wightman_flat, wightman_rindler)
 from .dynamics import (DensityMatrix, LindbladSpec, PauliCoefficients,
                        bell_state, bloch_norm, coeffs_from_density,
                        density_from_coefficients, evolve_analytic,
@@ -35,8 +34,8 @@ __all__ = [
     "acceleration_from_field", "energy_gap", "gamma0", "unruh_temperature",
     "AccelerationProfile", "WorldlineEvent", "rapidity", "rindler_event",
     "thomas_omega", "worldline",
-    "EpsilonSchedule", "RateSet", "bose_occupation", "rates_closed",
-    "rates_numeric", "wightman_flat", "wightman_rindler",
+    "RateSet", "bose_occupation", "rates_closed", "rates_numeric",
+    "wightman_flat", "wightman_rindler",
     "DensityMatrix", "LindbladSpec", "PauliCoefficients", "bell_state",
     "bloch_norm", "coeffs_from_density", "density_from_coefficients",
     "evolve_analytic", "evolve_numeric", "steady_state",

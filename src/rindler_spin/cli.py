@@ -139,7 +139,7 @@ _SETTINGS = {
         metavar="LO:HI:N", help="proper-time grid, gamma0^-1 units (worldline: c=1 units)")),
     "oracle": (_to_bool, False, dict(
         action="store_const", const=True,
-        help="rates: add regulated-quadrature cross-check columns")),
+        help="rates: add shifted-contour quadrature cross-check columns")),
     "format": (str, "csv", dict(choices=_FORMATS, help="output format")),
     "out": (str, None, dict(help="output file path (default: stdout)")),
     "profile": (str, "constant:1", dict(

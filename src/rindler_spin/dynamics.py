@@ -140,6 +140,12 @@ class DensityMatrix:
     def _structural_defect(self):
         """Why ``m`` fails the finite, Hermitian or unit-trace check, or None."""
         m = self.m
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test below
+            skew = np.abs(m - m.conj().T).max()
+        trace = m.trace()
+        if (skew <= HERMITICITY_TOL and abs(trace.real - 1.0) <= TRACE_TOL
+                and abs(trace.imag) <= TRACE_TOL):
+            return None  # the happy path; NaN fails every comparison and falls through
         if not np.isfinite(m).all():
             return "density matrix has non-finite entries"
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rindler_spin import (CODATA, DomainError, EpsilonSchedule, NumericError,
+from rindler_spin import (CODATA, DomainError, NumericError, PhysicalConstants,
                           SingularityError, bose_occupation, rates_closed,
                           rates_numeric, wightman_flat, wightman_rindler)
 
@@ -62,6 +62,16 @@ def test_rindler_at_pi():
     assert value.real == pytest.approx(
         HBAR * a**4 / (4.0 * math.pi * C**7) * SINH_HALF_PI_M4, rel=1e-12)
     assert value.real == pytest.approx(G_PI_1E26, rel=1e-12)
+
+
+def test_rindler_on_shifted_line_is_sech4():
+    # eps = pi c/a puts s - i eps on the line the rate oracle integrates along
+    unit = PhysicalConstants(hbar=1.0, c=1.0)
+    for x in np.linspace(0.0, 40.0, 401):
+        value = 4.0 * math.pi * wightman_rindler(1.0, x, math.pi, unit)
+        sech4 = math.cosh(x / 2.0) ** -4
+        assert abs(value.real - sech4) <= 1e-14 * sech4
+        assert abs(value.imag) <= 1e-15
 
 
 def test_rindler_flat_limit():
@@ -180,17 +190,8 @@ def test_rates_numeric_refuses_small_alpha():
 
 def test_rates_numeric_residual_guard():
     with pytest.raises(NumericError) as excinfo:
-        rates_numeric(1.0, residual_tol=1e-12)
+        rates_numeric(1.0, residual_tol=1e-16)  # below the ~1e-13 quadrature residual
     assert excinfo.value.residual is not None
-
-
-def test_epsilon_schedule_validation():
-    with pytest.raises(DomainError):
-        EpsilonSchedule(epsilons=(0.1, 0.2))      # not decreasing
-    with pytest.raises(DomainError):
-        EpsilonSchedule(epsilons=(0.1,))          # too short
-    with pytest.raises(DomainError):
-        EpsilonSchedule(window=-1.0)
 
 
 def test_rateset_validation():

@@ -316,20 +316,21 @@ def test_density_validate_errors():
     good = np.eye(4, dtype=complex) / 4.0
     DensityMatrix(good).validate()
     bad_trace = np.eye(4, dtype=complex) / 3.0
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="unit trace"):
         DensityMatrix(bad_trace).validate()
     non_psd = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
         DensityMatrix(non_psd).validate()
     non_herm = np.array(good)
     non_herm[0, 1] = 1e-3
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="not Hermitian"):
         DensityMatrix(non_herm).validate()
     for value in (math.nan, math.inf):
-        non_finite = np.array(good)
-        non_finite[1, 1] = value
-        with pytest.raises(ValidationError):
-            DensityMatrix(non_finite).validate()
+        for i, j in ((1, 1), (0, 2)):  # a diagonal entry; a Hermitian off-diagonal pair
+            non_finite = np.array(good)
+            non_finite[i, j] = non_finite[j, i] = value
+            with pytest.raises(ValidationError, match="non-finite"):
+                DensityMatrix(non_finite).validate()
 
 
 def test_steady_state_bell_product():

@@ -1,13 +1,15 @@
-"""Property tests of the closed forms and the CLI contract over decades of alpha and tau."""
+"""Property tests of the closed forms, the rate oracle and the CLI contract over decades of alpha and tau."""
 import contextlib
 import io
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
-from rindler_spin import (concurrence_closed, disentanglement_time, rates_closed,
-                          relaxation_times)
+from rindler_spin import (DomainError, concurrence_closed, disentanglement_time,
+                          rates_closed, rates_numeric, relaxation_times)
+from rindler_spin.correlator import MIN_NUMERIC_ALPHA
 from rindler_spin.cli import main
 
 ULPS = 4.0 * 2.0**-52
@@ -51,6 +53,24 @@ def test_closed_forms_hold_across_the_domain(alpha, tau_a, tau_b):
 def test_detailed_balance_across_the_domain(alpha):
     rs = rates_closed(alpha)
     assert abs(rs.g_plus - rs.g_minus * math.exp(-2.0 * math.pi / alpha)) <= 1e-12 * rs.g_minus
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(min_value=math.log(MIN_NUMERIC_ALPHA), max_value=math.log(10.0)).map(
+    math.exp))
+def test_rate_oracle_matches_closed_form(alpha):
+    closed, num = rates_closed(alpha), rates_numeric(alpha)
+    for got, want in ((num.g_plus, closed.g_plus), (num.g_minus, closed.g_minus),
+                      (num.g_z, closed.g_z)):
+        assert abs(got - want) <= 1e-12 * want
+    assert num.residual <= 1e-10
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(min_value=0.0, max_value=MIN_NUMERIC_ALPHA, exclude_max=True))
+def test_rate_oracle_refuses_alpha_below_its_floor(alpha):
+    with pytest.raises(DomainError):
+        rates_numeric(alpha)
 
 
 def _exit_code(argv):

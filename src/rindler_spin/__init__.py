@@ -18,9 +18,9 @@ from .dynamics import (DensityMatrix, LindbladSpec, PauliCoefficients,
                        bell_state, bloch_norm, coeffs_from_density,
                        density_from_coefficients, evolve_analytic,
                        evolve_numeric, steady_state)
-from .entanglement import (ConcurrenceCurve, LabDisentanglement,
-                           RelaxationTimes, concurrence, concurrence_closed,
-                           concurrence_curve, concurrence_real,
+from .entanglement import (ConcurrenceCurve, LabDisentanglement, RelaxationTimes,
+                           accel_for_t0, concurrence, concurrence_closed,
+                           concurrence_curve, concurrence_numeric, concurrence_real,
                            disentanglement_time, lab_exponent_constant,
                            relaxation_times, t0_lab, tau0_asymptotic)
 from .errors import (BlochBoundWarning, DomainError,
@@ -40,9 +40,9 @@ __all__ = [
     "bloch_norm", "coeffs_from_density", "density_from_coefficients",
     "evolve_analytic", "evolve_numeric", "steady_state",
     "ConcurrenceCurve", "LabDisentanglement", "RelaxationTimes",
-    "concurrence", "concurrence_closed", "concurrence_curve",
-    "concurrence_real", "disentanglement_time", "lab_exponent_constant",
-    "relaxation_times", "t0_lab", "tau0_asymptotic",
+    "accel_for_t0", "concurrence", "concurrence_closed", "concurrence_curve",
+    "concurrence_numeric", "concurrence_real", "disentanglement_time",
+    "lab_exponent_constant", "relaxation_times", "t0_lab", "tau0_asymptotic",
     "BlochBoundWarning", "DomainError", "IntegrationInstabilityError",
     "NumericError", "RindlerSpinError", "SingularityError", "ValidationError",
     "__version__",

@@ -34,13 +34,10 @@ import sys
 
 import numpy as np
 
-from . import entanglement
 from .correlator import MIN_NUMERIC_ALPHA, rates_closed, rates_numeric
-from .dynamics import (LindbladSpec, bell_state, density_from_coefficients,
-                       evolve_numeric)
-from .entanglement import (concurrence_curve, disentanglement_time,
-                           lab_exponent_constant, relaxation_times, t0_lab,
-                           tau0_asymptotic)
+from .entanglement import (accel_for_t0, concurrence_curve, concurrence_numeric,
+                           disentanglement_time, lab_exponent_constant,
+                           relaxation_times, t0_lab, tau0_asymptotic)
 from .errors import DomainError, NumericError, RindlerSpinError, ValidationError
 from .kinematics import AccelerationProfile, rindler_event, worldline
 from .params import CODATA, alpha_of, gamma0, unruh_temperature
@@ -78,8 +75,8 @@ def _parse_grid(spec, name):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise _ArgumentError(f"{name}: {exc}") from exc
-    if n < 1 or hi < lo:
-        raise _ArgumentError(f"{name}: need hi >= lo and n >= 1")
+    if n < 1 or not math.isfinite(hi - lo) or hi < lo:  # a nan or inf bound, or hi - lo overflows
+        raise _ArgumentError(f"{name}: need finite lo <= hi and n >= 1")
     if log:
         if lo <= 0:
             raise _ArgumentError(f"{name}: log grid requires lo > 0")
@@ -186,12 +183,10 @@ def _resolve_config(args):
 
     if args.format not in _FORMATS:
         raise _ArgumentError(f"unknown format {args.format!r} (csv or json)")
-    if args.alpha_grid.size == 0 or args.tau_grid.size == 0:
-        raise _ArgumentError("grids must be nonempty")
     if args.alpha_grid.size > 1 and np.any(np.diff(args.alpha_grid) <= 0):
         raise _ArgumentError("alpha grid must be strictly increasing")
-    if args.mu <= 0 or args.gap <= 0:
-        raise _ArgumentError("--mu and --gap must be positive")
+    if not (0 < args.mu < math.inf and 0 < args.gap < math.inf):
+        raise _ArgumentError("--mu and --gap must be finite and positive")
     return args
 
 
@@ -271,11 +266,8 @@ def cmd_rates(config):
         if config.oracle:
             if alpha >= MIN_NUMERIC_ALPHA:
                 num = rates_numeric(float(alpha))
-                resid = max(
-                    abs(num.g_plus - rs.g_plus) / max(rs.g_plus, 1e-30),
-                    abs(num.g_minus - rs.g_minus) / max(rs.g_minus, 1e-30),
-                    abs(num.g_z - rs.g_z) / max(rs.g_z, 1e-30),
-                )
+                resid = max(abs(got - want) / max(want, 1e-30) for got, want in (
+                    (num.g_plus, rs.g_plus), (num.g_minus, rs.g_minus), (num.g_z, rs.g_z)))
                 row += [num.g_plus, num.g_minus, resid]
             else:
                 row += [None, None, None]  # the quadrature refuses alpha < MIN_NUMERIC_ALPHA
@@ -283,33 +275,14 @@ def cmd_rates(config):
     _emit(config, columns, rows)
 
 
-def _numeric_concurrence_trace(alpha, taus):
-    """Master-equation concurrence at each tau, evolving segment by segment."""
-    rs = rates_closed(alpha)
-    stiffest = max(rs.g_minus, rs.g_plus, 4.0 * rs.g_z, 1e-12)
-    spec = LindbladSpec(rates=rs, dt=min(1e-3, 0.05 / stiffest))
-    rho = density_from_coefficients(bell_state())
-    out = []
-    prev = 0.0
-    for tau in taus:
-        if tau != prev:
-            rho = evolve_numeric(rho, spec, float(tau - prev))
-        prev = float(tau)
-        out.append(entanglement.concurrence(rho))
-    return out
-
-
 def cmd_curve(config):
     if config.alpha_grid.size != 1:
         raise _ArgumentError("curve needs a single --alpha")
     alpha = float(config.alpha_grid[0])
-    if alpha <= 0:
-        raise _ArgumentError("curve requires alpha > 0")
-    taus = config.tau_grid
-    if np.any(taus < 0) or np.any(np.diff(taus) <= 0):
-        raise _ArgumentError("tau grid must be nonnegative and strictly increasing")
-    curve = concurrence_curve(alpha, taus)
-    numeric = _numeric_concurrence_trace(alpha, taus)
+    if np.any(np.diff(config.tau_grid) <= 0):  # concurrence_closed refuses tau < 0
+        raise _ArgumentError("tau grid must be strictly increasing")
+    curve = concurrence_curve(alpha, config.tau_grid)
+    numeric = concurrence_numeric(alpha, config.tau_grid)
     rows = [[tau, c, c_numeric, None]
             for (tau, c), c_numeric in zip(curve.samples, numeric)]
     rows[-1][-1] = curve.tau0
@@ -317,11 +290,8 @@ def cmd_curve(config):
 
 
 def cmd_surface(config):
-    alphas = config.alpha_grid
-    if np.any(alphas <= 0):
-        raise _ArgumentError("surface requires alpha > 0")
     rows, zero_rows = [], []
-    for a in alphas:
+    for a in config.alpha_grid:
         curve = concurrence_curve(float(a), config.tau_grid)  # DomainError before a**3 overflows
         rows += [[a, tau, c] for tau, c in curve.samples]
         cube = float(a) ** 3
@@ -333,56 +303,19 @@ def cmd_surface(config):
 def cmd_worldline(config):
     """Trajectory dump in units with c = 1 (supply a and tau consistently)."""
     profile = _parse_profile(config.profile)
-    taus = config.tau_grid
-    if taus[0] != 0:
-        raise _ArgumentError("worldline tau grid must start at 0")
-    events = worldline(profile, taus, c=1.0)
-    constant_a = None
-    if config.profile.partition(":")[0] == "constant":
-        constant_a = profile.a_of_tau(0.0)
-        if constant_a <= 0:
-            constant_a = None
-    columns = ["tau", "t", "z", "rapidity", "beta"]
-    if constant_a is not None:
-        columns.append("residual")
+    events = worldline(profile, config.tau_grid, c=1.0)
+    # a positive constant profile gets a column of distances from its closed-form hyperbola
+    a = profile.a_of_tau(0.0) if config.profile.partition(":")[0] == "constant" else 0.0
+    columns = ["tau", "t", "z", "rapidity", "beta"] + (["residual"] if a > 0 else [])
     rows = []
     for ev in events:
         row = [ev.tau, ev.t, ev.z, ev.rapidity, ev.beta]
-        if constant_a is not None:
-            ref = rindler_event(constant_a, ev.tau, c=1.0)
-            floor = 1.0 / constant_a
+        if a > 0:
+            ref, floor = rindler_event(a, ev.tau, c=1.0), 1.0 / a
             row.append(max(abs(ev.t - ref.t) / max(abs(ref.t), floor),
                            abs(ev.z - ref.z) / max(abs(ref.z), floor)))
         rows.append(row)
     _emit(config, columns, rows)
-
-
-def _solve_accel_for_t0(target_t0, mu):
-    """Invert the monotone lab-frame time for the acceleration, by bisection."""
-    if target_t0 <= 0:
-        raise _ArgumentError("--target-t0 must be positive seconds")
-    goal = math.log(target_t0)
-
-    def excess(a):
-        return t0_lab(a, CODATA, mu).log_t0 - goal
-
-    lo = hi = 1.0
-    while excess(lo) <= 0 and lo > 1e-250:
-        lo /= 10.0
-    while excess(hi) >= 0 and hi < 1e250:
-        hi *= 10.0
-    if not (excess(lo) > 0 > excess(hi)):
-        raise NumericError("could not bracket the acceleration for this t0 "
-                           "(target outside the representable range)")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)  # geometric: the root spans many decades
-        if excess(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return math.sqrt(lo * hi)
 
 
 def cmd_constants(config):
@@ -391,10 +324,7 @@ def cmd_constants(config):
     mu, gap = config.mu, config.gap
     accel = config.accel
     if accel is None:
-        accel = _solve_accel_for_t0(config.target_t0, mu)
-    if accel <= 0:
-        raise _ArgumentError("--accel must be positive")
-
+        accel = accel_for_t0(config.target_t0, CODATA, mu)
     alpha = alpha_of(accel, gap)
     rate0 = gamma0(mu, gap)
     lab = t0_lab(accel, CODATA, mu)

@@ -131,6 +131,8 @@ def rates_closed(alpha):
 
 _UNIT = PhysicalConstants(hbar=1.0, c=1.0)
 _WINDOW = 40.0  # sech^4(x/2) ~ 16 e^-2x, so truncating at 40 leaves ~e^-80
+#: the largest relative quadrature error estimate ``rates_numeric`` accepts
+RESIDUAL_TOL = 1e-2
 
 
 def _shifted_fourier(omega):
@@ -149,7 +151,7 @@ def _shifted_fourier(omega):
     return val, abserr / max(abs(val), 1e-30)
 
 
-def rates_numeric(alpha, residual_tol=1e-2):
+def rates_numeric(alpha):
     """Rates by quadrature of the correlator on the shifted contour Im s = -pi c/a.
 
     Two adaptive quadratures, F(1/alpha) and F(0) (see the comment above),
@@ -157,7 +159,7 @@ def rates_numeric(alpha, residual_tol=1e-2):
     attached ``residual`` is the larger of the two relative quadrature error
     estimates.  Raises DomainError for alpha < MIN_NUMERIC_ALPHA = 0.4 and
     NumericError when the quadrature fails or its residual exceeds
-    ``residual_tol``.
+    ``RESIDUAL_TOL``.
 
     The oracle never uses the closed form's (1 + alpha^2) n: it computes F
     numerically.  The contour shift does, however, build the ratio
@@ -172,7 +174,7 @@ def rates_numeric(alpha, residual_tol=1e-2):
     flip, flip_rel = _shifted_fourier(1.0 / alpha)
     still, still_rel = _shifted_fourier(0.0)
     worst = max(flip_rel, still_rel)
-    if worst > residual_tol:
+    if worst > RESIDUAL_TOL:
         raise NumericError(
             f"rate quadrature did not settle (relative residual {worst:.3e})", residual=worst)
     shift = math.exp(math.pi / alpha)

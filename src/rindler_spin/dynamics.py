@@ -35,6 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -148,11 +149,9 @@ class DensityMatrix:
             return None  # the happy path; NaN fails every comparison and falls through
         if not np.isfinite(m).all():
             return "density matrix has non-finite entries"
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        if skew > HERMITICITY_TOL:
             return "density matrix is not Hermitian"
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            return "density matrix must have unit trace"
-        return None
+        return "density matrix must have unit trace"
 
     def validate(self):
         if self._structural_defect is not None:
@@ -167,15 +166,21 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Rates plus integrator step for the numeric route, in gamma0 units."""
+    """Rates plus integrator step for the numeric route, in gamma0 units.
+
+    ``dt`` defaults to min(1e-3, 0.05/stiffest), stiffest = max(g-, g+, 4 g_z);
+    an explicit ``dt`` wins, subject to dt*stiffest < 0.1.
+    """
 
     rates: RateSet
-    dt: float = 1e-3
+    dt: Optional[float] = None
 
     def __post_init__(self):
+        stiffest = max(self.rates.g_minus, self.rates.g_plus, 4.0 * self.rates.g_z)
+        if self.dt is None:
+            object.__setattr__(self, "dt", min(1e-3, 0.05 / max(stiffest, 1e-12)))
         if self.dt <= 0:
             raise DomainError("dt must be positive")
-        stiffest = max(self.rates.g_minus, self.rates.g_plus, 4.0 * self.rates.g_z)
         if self.dt * stiffest >= 0.1:
             raise DomainError(
                 f"dt too large for these rates (dt*max_rate = {self.dt * stiffest:.3g}, "

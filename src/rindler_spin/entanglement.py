@@ -18,19 +18,23 @@ tau0 at which C reaches zero solves exp(-tau0 G2) = (1 - exp(-tau0 G1))
 sech(pi/alpha)/2; at large alpha it collapses onto pi*ln(3)/alpha^3
 (gamma0 units), i.e. an inverse-cube law in the acceleration, and the
 lab-frame time t0 = (c/2a) exp[(3 pi ln3 / 8) hbar c^5 / (mu^2 a^2)] is
-exponentially longer.
+exponentially longer; ``accel_for_t0`` inverts ``t0_lab`` in closed form.
+``concurrence_numeric`` recomputes ``concurrence_curve`` through the
+master equation (``dynamics.evolve_numeric``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .correlator import alpha_cubed
-from .dynamics import PAULI2, DensityMatrix
+from .correlator import alpha_cubed, rates_closed
+from .dynamics import (PAULI2, DensityMatrix, LindbladSpec, bell_state,
+                       density_from_coefficients, evolve_numeric)
 from .errors import DomainError, NumericError, ValidationError
 from .linalg4 import characteristic_roots
 
@@ -67,8 +71,8 @@ class ConcurrenceCurve:
 class LabDisentanglement(NamedTuple):
     """Lab-frame disentanglement time with an overflow-safe log companion.
 
-    ``t0`` saturates to inf when the exponential overflows; ``log_t0``
-    is ln(t0) in seconds, finite unless the exponent itself overflows.
+    ``t0`` is inf only where it overflows; ``log_t0`` is ln(t0) in
+    seconds, finite unless the exponent itself overflows.
     """
 
     t0: float
@@ -209,6 +213,24 @@ def concurrence_curve(alpha, tau_grid: Sequence[float]) -> ConcurrenceCurve:
                             tau0=disentanglement_time(alpha))
 
 
+def concurrence_numeric(alpha, taus: Sequence[float]) -> list:
+    """Master-equation concurrence of the Bell pair at each tau of a nondecreasing grid.
+
+    The route independent of ``concurrence_curve``: ``evolve_numeric``, at
+    the default step of ``LindbladSpec``, carries the state from one grid
+    point to the next, and ``concurrence`` reads each state.
+    """
+    spec = LindbladSpec(rates=rates_closed(alpha))
+    rho = density_from_coefficients(bell_state())
+    out, prev = [], 0.0
+    for tau in map(float, taus):
+        if tau != prev:
+            rho = evolve_numeric(rho, spec, tau - prev)
+        prev = tau
+        out.append(concurrence(rho))
+    return out
+
+
 def tau0_asymptotic(accel, constants, mu) -> float:
     """High-temperature disentanglement time (3 pi ln3 / 8) hbar c^6 / (mu^2 a^3), s.
 
@@ -235,17 +257,45 @@ def lab_exponent_constant(constants, mu) -> float:
 def t0_lab(accel, constants, mu) -> LabDisentanglement:
     """Lab-frame disentanglement time t0 = (c/2a) exp[K/a^2], overflow-safe.
 
-    Returns the pair (t0, log t0); t0 is inf when the exponent overflows,
-    log t0 = ln(c/2a) + K/a^2 is exact either way, and finite unless K/a^2
-    itself overflows (a below about 5e-122 cm/s^2 for the electron).
+    Returns the pair (t0, log t0): log t0 = ln(c/2a) + K/a^2 is finite unless
+    K/a^2 overflows (a below about 5e-122 cm/s^2 for the electron), and
+    t0 = exp(log t0) is inf only where that overflows.
     """
     if not 0 < accel < math.inf:
         raise DomainError("t0_lab requires a finite accel > 0")
     exponent = lab_exponent_constant(constants, mu) / accel / accel  # no a**2 overflow
-    prefactor = 0.5 * constants.c / accel  # c/(2a) without the 2a overflow
-    log_t0 = math.log(prefactor) + exponent
+    log_t0 = math.log(0.5 * constants.c / accel) + exponent  # c/(2a) without the 2a overflow
     try:
-        t0 = prefactor * math.exp(exponent)
+        t0 = math.exp(log_t0)
     except OverflowError:
         t0 = math.inf
     return LabDisentanglement(t0=t0, log_t0=log_t0)
+
+
+def accel_for_t0(t0, constants, mu) -> float:
+    """The acceleration (cm/s^2) whose lab-frame time ``t0_lab`` is t0 seconds.
+
+    With w = 2K/a^2, ln t0 = ln(c/2a) + K/a^2 is w + ln w = z for
+    z = 2 ln t0 - 2 ln(c/2) + ln 2K.  Newton on l = ln w starts above the
+    root of the increasing, convex e^l + l - z (at l = z below z = e, at
+    ln z above), so it falls onto the root without overshooting.  Raises
+    DomainError unless t0 is a positive finite float, and NumericError
+    where a is not a finite float (t0 below about 8e-299 s for the electron).
+    """
+    if not 0 < t0 < math.inf:
+        raise DomainError("accel_for_t0 requires a finite t0 > 0")
+    two_k = 2.0 * lab_exponent_constant(constants, mu)
+    z = 2.0 * (math.log(t0) - math.log(0.5 * constants.c)) + math.log(two_k)
+    ell = z if z < math.e else math.log(z)
+    for _ in range(100):  # from above, the steps shrink to zero; this only bounds them
+        step = (math.exp(ell) + ell - z) / (math.exp(ell) + 1.0)
+        ell -= step
+        if step <= 4.0 * sys.float_info.epsilon * max(1.0, abs(ell)):
+            break
+    w = math.exp(ell)
+    if w >= sys.float_info.min and two_k / w < math.inf:
+        return math.sqrt(two_k / w)
+    try:  # w is subnormal or 2K/w overflows: a from its log
+        return math.exp(0.5 * (math.log(two_k) - ell))
+    except OverflowError:
+        raise NumericError(f"no finite acceleration gives t0 = {t0:g} s") from None

@@ -73,24 +73,19 @@ def quartic_roots(a3, a2, a1, a0):
     r = a0 - a3 * a1 / 4.0 + a3 * a3 * a2 / 16.0 - 3.0 * a3**4 / 256.0
 
     coeff_scale = max(1.0, abs(p), abs(r)) ** 0.5
-    if abs(q) <= 1e-14 * coeff_scale**3:
-        # biquadratic: y^4 + p y^2 + r
+    t = s = 0.0
+    if abs(q) > 1e-14 * coeff_scale**3:
+        t = max(_largest_real_cubic_root(2.0 * p, p * p - 4.0 * r, -q * q), 0.0)
+        s = math.sqrt(t)
+    if s == 0.0:  # biquadratic: y^4 + p y^2 + r
         roots = []
         for z in _quadratic_roots(p, r):
             w = cmath.sqrt(z)
             roots.extend((w, -w))
     else:
-        t = max(_largest_real_cubic_root(2.0 * p, p * p - 4.0 * r, -q * q), 0.0)
-        s = math.sqrt(t)
-        if s == 0.0:
-            roots = []
-            for z in _quadratic_roots(p, r):
-                w = cmath.sqrt(z)
-                roots.extend((w, -w))
-        else:
-            u = (p + t - q / s) / 2.0
-            v = (p + t + q / s) / 2.0
-            roots = list(_quadratic_roots(s, u)) + list(_quadratic_roots(-s, v))
+        u = (p + t - q / s) / 2.0
+        v = (p + t + q / s) / 2.0
+        roots = list(_quadratic_roots(s, u)) + list(_quadratic_roots(-s, v))
 
     return np.array([z - shift for z in roots], dtype=complex)
 

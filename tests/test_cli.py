@@ -174,6 +174,17 @@ def test_constants_target_t0_roundtrip(capsys):
     assert float(values["t0_s"]) == pytest.approx(target, rel=1e-6)
 
 
+def test_constants_t0_finite_where_exp_alone_overflows(capsys):
+    # t0 = (c/2a) e^{K/a^2} is a float although e^{K/a^2} is not
+    for argv, t0 in ((["--accel", "2.3e31"], "2.0589"), (["--target-t0", "1e300"],
+                                                           "1.00000000e+300")):
+        code, out, _ = run_cli(capsys, "constants", *argv)
+        assert code == 0
+        values = dict(line.split(",") for line in out.strip().splitlines()[1:])
+        assert values["t0_s"].startswith(t0)
+        assert math.isfinite(float(values["log_t0"]))
+
+
 def test_constants_requires_accel(capsys):
     code, _, err = run_cli(capsys, "constants")
     assert code == 2
@@ -334,13 +345,20 @@ def test_numeric_error_exit_code(capsys):
     (["constants", "--accel", "inf"], 2),
     (["curve", "--alpha", "3e-308"], 2),                   # tau0 ~ 2 pi/alpha is not a float
     (["curve", "--alpha", "1e-309"], 2),
+    (["worldline", "--tau-grid", "0:0:3"], 2),             # grid not strictly increasing
+    (["worldline", "--profile", "constant:1e300"], 2),     # cosh of the rapidity overflows
+    (["worldline", "--tau-grid", "0:1e300:3"], 2),
+    (["worldline", "--profile", "sinusoid:1,1e300"], 3),   # hung before the evaluation budget
+    (["constants", "--target-t0", "inf"], 2),
+    (["constants", "--target-t0", "nan"], 2),
+    (["constants", "--mu", "nan", "--accel", "1e26"], 2),
 ])
 def test_extreme_alpha_exit_codes(argv, expected):
     src = str(Path(rindler_spin.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "rindler_spin.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == expected
     assert "Traceback" not in proc.stderr
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rindler_spin import correlator
 from rindler_spin import (CODATA, DomainError, NumericError, PhysicalConstants,
                           SingularityError, bose_occupation, rates_closed,
                           rates_numeric, wightman_flat, wightman_rindler)
@@ -188,9 +189,10 @@ def test_rates_numeric_refuses_small_alpha():
         rates_numeric(0.05)
 
 
-def test_rates_numeric_residual_guard():
+def test_rates_numeric_residual_guard(monkeypatch):
+    monkeypatch.setattr(correlator, "RESIDUAL_TOL", 1e-16)  # below the ~1e-13 residual
     with pytest.raises(NumericError) as excinfo:
-        rates_numeric(1.0, residual_tol=1e-16)  # below the ~1e-13 quadrature residual
+        rates_numeric(1.0)
     assert excinfo.value.residual is not None
 
 

@@ -312,6 +312,16 @@ def test_lindblad_spec_step_guard():
     LindbladSpec(rates=rates, dt=1e-3)  # fine
 
 
+@pytest.mark.parametrize("alpha", [1.0, 50.0])
+def test_lindblad_spec_default_step(alpha):
+    # the step the `curve` command has always used: a twentieth of the
+    # shortest decay time, never coarser than 1e-3
+    rates = rates_closed(alpha)
+    stiffest = max(rates.g_minus, rates.g_plus, 4.0 * rates.g_z, 1e-12)
+    assert LindbladSpec(rates).dt == min(1e-3, 0.05 / stiffest)
+    assert LindbladSpec(rates, dt=1e-7).dt == 1e-7  # an explicit step wins
+
+
 def test_density_validate_errors():
     good = np.eye(4, dtype=complex) / 4.0
     DensityMatrix(good).validate()

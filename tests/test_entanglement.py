@@ -1,12 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from rindler_spin import (CODATA, DensityMatrix, DomainError, NumericError,
-                          ValidationError,
+                          ValidationError, accel_for_t0,
                           bell_state, concurrence, concurrence_closed,
-                          concurrence_curve, concurrence_real,
+                          concurrence_curve, concurrence_numeric, concurrence_real,
                           density_from_coefficients, disentanglement_time,
                           evolve_analytic, gamma0, lab_exponent_constant,
                           rates_closed, relaxation_times, steady_state,
@@ -119,10 +120,9 @@ def test_concurrence_single_eigensolve(monkeypatch):
 
 def test_curve_one_eigensolve_per_state(monkeypatch):
     # the curve pipeline: evolve segment by segment, concurrence per sample
-    from rindler_spin.cli import _numeric_concurrence_trace
     calls = count_eigensolves(monkeypatch)
     taus = np.linspace(0.0, 5.0, 120)
-    values = _numeric_concurrence_trace(1.0, taus)
+    values = concurrence_numeric(1.0, taus)
     assert len(values) == 120
     # the Bell state plus 119 evolved states, each solved once
     assert calls == ["jacobi_hermitian"] * 120
@@ -376,3 +376,37 @@ def test_t0_lab_float_range_edges():
     assert tau0_asymptotic(1.7e308, CODATA, mu) == 0.0
     assert t0_lab(1e-200, CODATA, mu).t0 == math.inf
     assert tau0_asymptotic(1e-200, CODATA, mu) == math.inf
+
+
+def test_t0_lab_finite_where_the_exponential_alone_overflows():
+    # a > c/2: the prefactor c/2a < 1 brings back into range an exp that overflows
+    mu = CODATA.bohr_magneton
+    assert lab_exponent_constant(CODATA, mu) / 2.3e31**2 > math.log(sys.float_info.max)
+    lab = t0_lab(2.3e31, CODATA, mu)
+    assert lab.t0 == pytest.approx(2.0589e294, rel=1e-4)
+    assert math.log(lab.t0) == pytest.approx(lab.log_t0, rel=1e-14)
+
+
+def test_accel_for_t0_inverts_t0_lab():
+    mu = CODATA.bohr_magneton
+    for target in (1e-298, 1e-20, 1.0, 3.15e7, 1e300, 1.7e308):
+        accel = accel_for_t0(target, CODATA, mu)
+        log_t0 = t0_lab(accel, CODATA, mu).log_t0
+        assert abs(log_t0 - math.log(target)) <= 1e-12 * max(1.0, abs(math.log(target)))
+    # the lab time falls as the acceleration grows
+    assert accel_for_t0(1e300, CODATA, mu) < accel_for_t0(3.15e7, CODATA, mu)
+    assert t0_lab(accel_for_t0(1e300, CODATA, mu), CODATA, mu).t0 == pytest.approx(
+        1e300, rel=1e-12)
+    # another moment: K scales as 1/mu^2
+    accel = accel_for_t0(100.0, CODATA, 2e-20)
+    assert t0_lab(accel, CODATA, 2e-20).log_t0 == pytest.approx(math.log(100.0), rel=1e-13)
+
+
+def test_accel_for_t0_domain():
+    mu = CODATA.bohr_magneton
+    for target in (0.0, -0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            accel_for_t0(target, CODATA, mu)
+    for target in (1e-300, 5e-324):  # the acceleration would overflow
+        with pytest.raises(NumericError):
+            accel_for_t0(target, CODATA, mu)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rindler_spin import (AccelerationProfile, CODATA, DomainError, rapidity,
-                          rindler_event, thomas_omega, worldline)
+from rindler_spin import (AccelerationProfile, CODATA, DomainError, NumericError,
+                          kinematics, rapidity, rindler_event, thomas_omega, worldline)
 
 C = CODATA.c
 
@@ -95,12 +95,39 @@ def test_worldline_sinusoid_line_element():
 
 def test_worldline_grid_validation():
     profile = AccelerationProfile.zero()
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         worldline(profile, [1.0, 2.0])          # must start at 0
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         worldline(profile, [0.0, 2.0, 1.0])     # unsorted
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
+        worldline(profile, [0.0, 0.0, 0.0])     # repeated
+    with pytest.raises(DomainError):
         worldline(profile, [])
+
+
+def test_worldline_outside_the_float_range():
+    # cosh of the rapidity overflows; the acceleration or its phase is not finite;
+    # z(0) = c^2/a(0) overflows
+    cases = [(AccelerationProfile.constant(1e300), [0.0, 5.0]),
+             (AccelerationProfile.constant(1.0), [0.0, 1e300]),
+             (AccelerationProfile.constant(-1e300), [0.0, 5.0]),
+             (AccelerationProfile.constant(math.inf), [0.0, 5.0]),
+             (AccelerationProfile.constant(math.nan), [0.0, 5.0]),
+             (AccelerationProfile.sinusoid(1.0, math.inf), [0.0, 5.0]),
+             (AccelerationProfile.constant(1e-320), [0.0, 5.0])]
+    for profile, grid in cases:
+        with pytest.raises(DomainError, match="float range"):
+            worldline(profile, grid, c=1.0)
+
+
+def test_worldline_evaluation_budget(monkeypatch):
+    # a profile too fast to resolve stops at the budget instead of running on
+    monkeypatch.setattr(kinematics, "MAX_RHS_EVALS", 2000)
+    with pytest.raises(NumericError, match="2000"):
+        worldline(AccelerationProfile.sinusoid(1.0, 1e300), [0.0, 5.0], c=1.0)
+    # the documented sinusoid grid fits in it
+    events = worldline(AccelerationProfile.sinusoid(1.0, 0.5), np.linspace(0, 5, 101), c=1.0)
+    assert len(events) == 101
 
 
 def test_rindler_event_vertex():

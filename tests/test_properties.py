@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from rindler_spin import (DomainError, concurrence_closed, disentanglement_time,
-                          rates_closed, rates_numeric, relaxation_times)
+from rindler_spin import (CODATA, DomainError, accel_for_t0, concurrence_closed,
+                          disentanglement_time, rates_closed, rates_numeric,
+                          relaxation_times, t0_lab)
 from rindler_spin.correlator import MIN_NUMERIC_ALPHA
 from rindler_spin.cli import main
 
@@ -82,13 +83,31 @@ def _exit_code(argv):
             return exc.code
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+#: command -> its arguments at one drawn alpha (a value in alpha's decades) and accel
+CLI_CASES = {
+    "rates": lambda a, accel: ["rates", f"--alpha={a!r}", "--tau-grid", "0:5:6"],
+    "rates --oracle": lambda a, accel: ["rates", "--oracle", f"--alpha={a!r}",
+                                        "--tau-grid", "0:5:6"],
+    "curve": lambda a, accel: ["curve", f"--alpha={a!r}", "--tau-grid", "0:5:6"],
+    "surface": lambda a, accel: ["surface", f"--alpha={a!r}", "--tau-grid", "0:5:6"],
+    "constants": lambda a, accel: ["constants", f"--accel={accel!r}"],
+    "constants --target-t0": lambda a, accel: ["constants", f"--target-t0={accel!r}"],
+    "worldline --profile": lambda a, accel: ["worldline", f"--profile=constant:{a!r}",
+                                             "--tau-grid", "0:5:6"],
+    "worldline --tau-grid": lambda a, accel: ["worldline", f"--tau-grid=0:{a!r}:3"],
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(alpha=_decades(-320, 308, (1e-2, 1e3)), accel=_decades(-320, 308, (1e20, 1e35)),
-       command=st.sampled_from(("rates", "rates --oracle", "curve", "surface", "constants")))
+       command=st.sampled_from(sorted(CLI_CASES)))
 def test_cli_exit_codes_across_the_domain(alpha, accel, command):
-    argv = command.split()
-    if command == "constants":
-        argv.append(f"--accel={accel!r}")
-    else:
-        argv += [f"--alpha={alpha!r}", "--tau-grid", "0:5:6"]
-    assert _exit_code(argv) in CLI_EXIT_CODES
+    assert _exit_code(CLI_CASES[command](alpha, accel)) in CLI_EXIT_CODES
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(t0=st.floats(min_value=math.log(1e-298), max_value=math.log(1.7e308)).map(math.exp))
+def test_accel_for_t0_round_trip(t0):
+    accel = accel_for_t0(t0, CODATA, CODATA.bohr_magneton)
+    log_t0 = t0_lab(accel, CODATA, CODATA.bohr_magneton).log_t0
+    assert abs(log_t0 - math.log(t0)) <= 1e-12 * max(1.0, abs(math.log(t0)))

@@ -183,8 +183,9 @@ def _resolve_config(args):
 
     if args.format not in _FORMATS:
         raise _ArgumentError(f"unknown format {args.format!r} (csv or json)")
-    if args.alpha_grid.size > 1 and np.any(np.diff(args.alpha_grid) <= 0):
-        raise _ArgumentError("alpha grid must be strictly increasing")
+    for name, grid in (("alpha", args.alpha_grid), ("tau", args.tau_grid)):
+        if np.any(np.diff(grid) <= 0):  # a repeated point repeats rows; a falling one fails
+            raise _ArgumentError(f"{name} grid must be strictly increasing")
     if not (0 < args.mu < math.inf and 0 < args.gap < math.inf):
         raise _ArgumentError("--mu and --gap must be finite and positive")
     return args
@@ -279,8 +280,6 @@ def cmd_curve(config):
     if config.alpha_grid.size != 1:
         raise _ArgumentError("curve needs a single --alpha")
     alpha = float(config.alpha_grid[0])
-    if np.any(np.diff(config.tau_grid) <= 0):  # concurrence_closed refuses tau < 0
-        raise _ArgumentError("tau grid must be strictly increasing")
     curve = concurrence_curve(alpha, config.tau_grid)
     numeric = concurrence_numeric(alpha, config.tau_grid)
     rows = [[tau, c, c_numeric, None]

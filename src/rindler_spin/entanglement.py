@@ -39,6 +39,8 @@ from .errors import DomainError, NumericError, ValidationError
 from .linalg4 import characteristic_roots
 
 _SPIN_FLIP = PAULI2[2, 2].real  # sy x sy is real symmetric
+#: sy x sy reverses the rows of what it multiplies, with these signs
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 
 IMAG_EIG_TOL = 1e-8      # larger imaginary residuals signal an invalid state
 
@@ -91,8 +93,8 @@ def _wootters_lambdas(rho: DensityMatrix):
     that check lets through below zero count as zero.
     """
     w, v = rho.eigh
-    phi = v * np.sqrt(np.clip(w, 0.0, None))
-    return np.linalg.svd(phi.T @ _SPIN_FLIP @ phi, compute_uv=False)
+    phi = v * np.sqrt(np.maximum(w, 0.0))
+    return np.linalg.svd(phi.T @ (_FLIP_SIGNS * phi[::-1]), compute_uv=False)
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -250,8 +252,16 @@ def lab_exponent_constant(constants, mu) -> float:
     Returned in cm^2/s^4; dividing by a^2 gives the dimensionless exponent
     of t0.  For the electron (mu = Bohr magneton) this is the constant the
     log of the disentanglement time is controlled by, about 3.8e61 m^2/s^4.
+    Raises DomainError where mu^2 or the constant is not a positive finite float.
     """
-    return 3.0 * math.pi * math.log(3.0) / 8.0 * constants.hbar * constants.c**5 / mu**2
+    try:
+        value = 3.0 * math.pi * math.log(3.0) / 8.0 * constants.hbar * constants.c**5 / mu**2
+    except (OverflowError, ZeroDivisionError):  # mu**2 overflows or underflows to 0
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise DomainError(f"the lab-frame exponent constant is not a positive finite float "
+                          f"at mu = {mu:g} erg/G")
+    return value
 
 
 def t0_lab(accel, constants, mu) -> LabDisentanglement:

@@ -116,10 +116,19 @@ def gamma0(mu, gap, constants=CODATA):
     """Zero-acceleration spontaneous flip rate (8/3) mu^2 Delta^3 / (hbar^4 c^3).
 
     Returns 1/s; this is the rate unit of every dimensionless module.
+    Raises DomainError where mu^2, gap^3 or the rate is not a positive
+    finite float.
     """
     if mu <= 0 or gap <= 0:
         raise DomainError("mu and gap must be strictly positive")
-    return (8.0 / 3.0) * mu**2 * gap**3 / (constants.hbar**4 * constants.c**3)
+    try:
+        rate = (8.0 / 3.0) * mu**2 * gap**3 / (constants.hbar**4 * constants.c**3)
+    except OverflowError:  # mu**2 or gap**3
+        rate = math.inf
+    if not 0 < rate < math.inf:
+        raise DomainError(f"gamma0 is not a positive finite float at mu = {mu:g} erg/G, "
+                          f"gap = {gap:g} erg")
+    return rate
 
 
 def unruh_temperature(accel, constants=CODATA):

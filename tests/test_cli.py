@@ -90,6 +90,15 @@ def test_curve_rows_and_tau0(capsys):
     assert rows[-1][3] == pytest.approx(TAU0_A1, rel=1e-8)
 
 
+@pytest.mark.parametrize("command", [["curve", "--alpha", "1"], ["surface", "--alpha", "1"]])
+def test_repeated_tau_grid_refused(capsys, command):
+    # surface printed the tau = 0 row three times; both commands share one check
+    code, out, err = run_cli(capsys, *command, "--tau-grid", "0:0:3")
+    assert code == 2
+    assert out == ""
+    assert "tau grid must be strictly increasing" in err
+
+
 def test_surface_tables(capsys, tmp_path):
     out_path = tmp_path / "surf.csv"
     code, _, _ = run_cli(capsys, "surface", "--alpha-grid", "1:100:3:log",
@@ -352,6 +361,9 @@ def test_numeric_error_exit_code(capsys):
     (["constants", "--target-t0", "inf"], 2),
     (["constants", "--target-t0", "nan"], 2),
     (["constants", "--mu", "nan", "--accel", "1e26"], 2),
+    (["constants", "--accel", "1e26", "--mu", "1e200"], 2),  # mu**2 overflowed in gamma0
+    (["constants", "--accel", "1e26", "--gap", "1e200"], 2),  # gap**3 overflowed
+    (["constants", "--accel", "1e26", "--mu", "1e-200"], 2),  # gamma0 underflowed to 0
 ])
 def test_extreme_alpha_exit_codes(argv, expected):
     src = str(Path(rindler_spin.__file__).resolve().parents[1])

@@ -6,9 +6,9 @@ import pytest
 from rindler_spin import (BlochBoundWarning, DensityMatrix, DomainError,
                           LindbladSpec, PauliCoefficients, RateSet,
                           ValidationError, bell_state, bloch_norm,
-                          coeffs_from_density, density_from_coefficients,
-                          evolve_analytic, evolve_numeric, rates_closed,
-                          steady_state)
+                          coeffs_from_density, concurrence_numeric,
+                          density_from_coefficients, evolve_analytic,
+                          evolve_numeric, rates_closed, steady_state)
 from rindler_spin.dynamics import SIGMA, _step_power
 
 from helpers import bell_density, random_density, rk4_reference
@@ -204,6 +204,13 @@ def test_evolve_numeric_cached_propagator():
     other = evolve_numeric(rho0, LindbladSpec(rates=rates_closed(2.0), dt=1e-3), 0.25)
     assert _step_power.cache_info().misses == 2
     assert not np.array_equal(other.m, warm.m)
+
+
+def test_equal_segments_share_one_step_power():
+    # linspace steps differ in the last ulp; they must still hit one cache entry
+    _step_power.cache_clear()
+    concurrence_numeric(1.0, np.linspace(0.0, 5.0, 61))
+    assert _step_power.cache_info().misses == 1
 
 
 def test_density_eigh_read_only():

@@ -328,6 +328,10 @@ def test_lab_exponent_constant():
     value_si = lab_exponent_constant(CODATA, CODATA.bohr_magneton) / 1e4
     assert value_si == pytest.approx(EXPONENT_SI, rel=1e-12)
     assert abs(value_si - 3.8e61) / 3.8e61 < 0.03
+    # mu**2 overflows, K/mu^2 overflows, mu**2 underflows to 0
+    for mu in (1e200, 1e-150, 1e-200):
+        with pytest.raises(DomainError, match="exponent constant"):
+            lab_exponent_constant(CODATA, mu)
 
 
 def test_t0_lab_overflow_and_log():

@@ -98,6 +98,10 @@ def test_gamma0_domain():
         gamma0(0.0, GAP_1G)
     with pytest.raises(DomainError):
         gamma0(CODATA.bohr_magneton, -1.0)
+    # mu**2 or gap**3 overflows; the product underflows to 0
+    for mu, gap in ((1e200, GAP_1G), (CODATA.bohr_magneton, 1e200), (1e-200, GAP_1G)):
+        with pytest.raises(DomainError, match="gamma0"):
+            gamma0(mu, gap)
 
 
 def test_unruh_temperature_zero_and_linear():

@@ -12,7 +12,7 @@ from .params import (CODATA, OperatingPoint, PhysicalConstants, alpha_of,
                      unruh_temperature)
 from .kinematics import (AccelerationProfile, WorldlineEvent, rapidity,
                          rindler_event, thomas_omega, worldline)
-from .correlator import (RateSet, bose_occupation, rates_closed,
+from .correlator import (RateSet, bose_occupation, oracle_residual, rates_closed,
                          rates_numeric, wightman_flat, wightman_rindler)
 from .dynamics import (DensityMatrix, LindbladSpec, PauliCoefficients,
                        bell_state, bloch_norm, coeffs_from_density,
@@ -22,7 +22,8 @@ from .entanglement import (ConcurrenceCurve, LabDisentanglement, RelaxationTimes
                            accel_for_t0, concurrence, concurrence_closed,
                            concurrence_curve, concurrence_numeric, concurrence_real,
                            disentanglement_time, lab_exponent_constant,
-                           relaxation_times, t0_lab, tau0_asymptotic)
+                           relaxation_times, t0_lab, tau0_asymptotic,
+                           tau0_inverse_cube)
 from .errors import (BlochBoundWarning, DomainError,
                      IntegrationInstabilityError, NumericError,
                      RindlerSpinError, SingularityError, ValidationError)
@@ -34,7 +35,7 @@ __all__ = [
     "acceleration_from_field", "energy_gap", "gamma0", "unruh_temperature",
     "AccelerationProfile", "WorldlineEvent", "rapidity", "rindler_event",
     "thomas_omega", "worldline",
-    "RateSet", "bose_occupation", "rates_closed", "rates_numeric",
+    "RateSet", "bose_occupation", "oracle_residual", "rates_closed", "rates_numeric",
     "wightman_flat", "wightman_rindler",
     "DensityMatrix", "LindbladSpec", "PauliCoefficients", "bell_state",
     "bloch_norm", "coeffs_from_density", "density_from_coefficients",
@@ -43,6 +44,7 @@ __all__ = [
     "accel_for_t0", "concurrence", "concurrence_closed", "concurrence_curve",
     "concurrence_numeric", "concurrence_real", "disentanglement_time",
     "lab_exponent_constant", "relaxation_times", "t0_lab", "tau0_asymptotic",
+    "tau0_inverse_cube",
     "BlochBoundWarning", "DomainError", "IntegrationInstabilityError",
     "NumericError", "RindlerSpinError", "SingularityError", "ValidationError",
     "__version__",

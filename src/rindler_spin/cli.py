@@ -34,10 +34,11 @@ import sys
 
 import numpy as np
 
-from .correlator import MIN_NUMERIC_ALPHA, rates_closed, rates_numeric
+from .correlator import MIN_NUMERIC_ALPHA, oracle_residual, rates_closed, rates_numeric
 from .entanglement import (accel_for_t0, concurrence_curve, concurrence_numeric,
                            disentanglement_time, lab_exponent_constant,
-                           relaxation_times, t0_lab, tau0_asymptotic)
+                           relaxation_times, t0_lab, tau0_asymptotic,
+                           tau0_inverse_cube)
 from .errors import DomainError, NumericError, RindlerSpinError, ValidationError
 from .kinematics import AccelerationProfile, rindler_event, worldline
 from .params import CODATA, alpha_of, gamma0, unruh_temperature
@@ -267,9 +268,7 @@ def cmd_rates(config):
         if config.oracle:
             if alpha >= MIN_NUMERIC_ALPHA:
                 num = rates_numeric(float(alpha))
-                resid = max(abs(got - want) / max(want, 1e-30) for got, want in (
-                    (num.g_plus, rs.g_plus), (num.g_minus, rs.g_minus), (num.g_z, rs.g_z)))
-                row += [num.g_plus, num.g_minus, resid]
+                row += [num.g_plus, num.g_minus, oracle_residual(num, rs)]
             else:
                 row += [None, None, None]  # the quadrature refuses alpha < MIN_NUMERIC_ALPHA
         rows.append(row)
@@ -291,10 +290,9 @@ def cmd_curve(config):
 def cmd_surface(config):
     rows, zero_rows = [], []
     for a in config.alpha_grid:
-        curve = concurrence_curve(float(a), config.tau_grid)  # DomainError before a**3 overflows
+        curve = concurrence_curve(float(a), config.tau_grid)
         rows += [[a, tau, c] for tau, c in curve.samples]
-        cube = float(a) ** 3
-        zero_rows.append([a, curve.tau0, math.pi * math.log(3.0) / cube if cube > 0 else math.inf])
+        zero_rows.append([a, curve.tau0, tau0_inverse_cube(float(a))])
     _emit(config, ["alpha", "tau", "c"], rows,
           extra_tables={"tau0": (["alpha", "tau0", "tau0_asymptotic"], zero_rows)})
 

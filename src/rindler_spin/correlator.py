@@ -181,3 +181,15 @@ def rates_numeric(alpha):
     return RateSet(alpha=alpha, n=bose_occupation(alpha), g_plus=prefactor * flip / shift,
                    g_minus=prefactor * flip * shift, g_z=prefactor * still / 2.0,
                    residual=worst)
+
+
+def oracle_residual(numeric, closed):
+    """Largest relative deviation of the oracle's g+, g- and g_z from the closed form's.
+
+    ``numeric`` and ``closed`` are RateSets at one alpha, as returned by
+    ``rates_numeric`` and ``rates_closed``; a closed-form rate below 1e-30
+    counts as 1e-30.
+    """
+    return max(abs(got - want) / max(want, 1e-30) for got, want in (
+        (numeric.g_plus, closed.g_plus), (numeric.g_minus, closed.g_minus),
+        (numeric.g_z, closed.g_z)))

@@ -235,14 +235,12 @@ def evolve_analytic(coeffs0: PauliCoefficients, rates: RateSet, tau) -> PauliCoe
     flip_sum = rates.g_minus + rates.g_plus
     coherence_rate = 0.5 * (flip_sum + 4.0 * rates.g_z)
 
-    r = np.array(coeffs0.r)
     decay = math.exp(-coherence_rate * tau)
-    r[1, :] *= decay
-    r[2, :] *= decay
+    relax = math.exp(-flip_sum * tau) if flip_sum > 0 else 1.0
+    r = coeffs0.r * np.array([[1.0], [decay], [decay], [relax]])
     if flip_sum > 0:
-        relax = math.exp(-flip_sum * tau)
         asympt = (rates.g_minus - rates.g_plus) / flip_sum
-        r[3, :] = r[3, :] * relax + asympt * coeffs0.r[0, :] * (1.0 - relax)
+        r[3] += asympt * coeffs0.r[0] * (1.0 - relax)
     return PauliCoefficients(r)
 
 

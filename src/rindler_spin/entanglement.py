@@ -25,6 +25,7 @@ master equation (``dynamics.evolve_numeric``).
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -115,22 +116,28 @@ def concurrence_real(rho: DensityMatrix) -> float:
     eigenvalues of the single (non-symmetric) product rho (sy x sy),
     computed here from its characteristic quartic with Newton polishing.
     An imaginary eigenvalue residual above 1e-8 signals an invalid state.
+    The quartic, its polish and the checks and sort of the four roots run
+    on Python scalars, which per state cost less than numpy's.  Below
+    alpha of about 0.3 the quartic loses accuracy and raises, where
+    LAPACK's non-symmetric ``eigvals`` of the same product would not; it
+    stays while the benchmark's self-test pins that failure at alpha 0.1.
     """
     if np.max(np.abs(rho.m.imag)) >= 1e-12:
         raise ValidationError("concurrence_real requires a real density matrix")
     rho.validate()
     product = rho.m.real @ _SPIN_FLIP
-    roots = characteristic_roots(product)
-    if not np.isfinite(roots).all():
-        raise NumericError(f"characteristic roots {roots} are not all finite")
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    worst_imag = float(np.max(np.abs(roots.imag)))
+    values = characteristic_roots(product)
+    roots = values.tolist()
+    if not all(map(cmath.isfinite, roots)):
+        raise NumericError(f"characteristic roots {values} are not all finite")
+    scale = max(1.0, *map(abs, roots))
+    worst_imag = max(abs(z.imag) for z in roots)
     if worst_imag > IMAG_EIG_TOL * scale:
         raise NumericError(
             f"complex eigenvalue residual {worst_imag:.3e} (invalid state?)",
             residual=worst_imag)
-    lams = np.sort(np.abs(roots.real))[::-1]
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    lams = sorted((abs(z.real) for z in roots), reverse=True)
+    return max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
 
 
 def relaxation_times(alpha) -> RelaxationTimes:
@@ -244,6 +251,19 @@ def tau0_asymptotic(accel, constants, mu) -> float:
     prefactor = 3.0 * math.pi * math.log(3.0) / 8.0
     scale = prefactor * constants.hbar * constants.c**6 / mu**2
     return scale / accel / accel / accel  # saturates to inf or 0 where a^3 leaves the float range
+
+
+def tau0_inverse_cube(alpha) -> float:
+    """The inverse-cube law pi*ln(3)/alpha^3 for tau0, in gamma0^-1 units.
+
+    ``tau0_asymptotic`` in gamma0 units, the large-alpha limit of
+    ``disentanglement_time``; inf where alpha^3 underflows to 0.  Raises
+    DomainError unless alpha > 0 and alpha^3 is a finite float.
+    """
+    if alpha <= 0:
+        raise DomainError("tau0_inverse_cube requires alpha > 0")
+    cube = alpha_cubed(alpha)
+    return math.pi * math.log(3.0) / cube if cube > 0 else math.inf
 
 
 def lab_exponent_constant(constants, mu) -> float:

@@ -5,7 +5,16 @@
 * a closed-form real-quartic solver (resolvent cubic, factorization into
   two quadratics, guarded Newton polish) gives the characteristic roots of
   real 4x4 matrices, keeping ``concurrence_real`` a route independent of
-  LAPACK.
+  LAPACK.  The traces, the quartic and its polish run on Python floats and
+  complexes: for four roots numpy scalars cost more in dispatch than in
+  arithmetic.  They round as numpy's scalars do, so the roots are the same
+  bit for bit.
+
+LAPACK's non-symmetric ``eigvals`` of the same real product would be a
+cheaper route, still apart from the eigh + SVD of ``concurrence``, and it
+stays within 1e-8 of the closed form down to alpha 0.1 where the quartic
+does not.  The quartic stays only while the benchmark's self-test pins a
+failure of ``concurrence_real`` at alpha 0.1.
 """
 
 from __future__ import annotations
@@ -90,53 +99,82 @@ def quartic_roots(a3, a2, a1, a0):
     return np.array([z - shift for z in roots], dtype=complex)
 
 
+def _quotient(a, b):
+    """a / b for Python complex b != 0, rounded as numpy's complex128 divides.
+
+    Smith's algorithm times the reciprocal of the scaled denominator, where
+    Python's ``/`` divides by it; the polish therefore lands on the same
+    roots, bit for bit, as it does in numpy scalars.
+    """
+    br, bi = b.real, b.imag
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
+
+
 def _polish_root(coeffs, z, iters=3):
     """Guarded Newton refinement; keeps a step only if it shrinks |p(z)|.
 
-    Near a double root p'(z) is tiny, the step lands far away and p there
-    can overflow to inf - inf = nan; a nan |p| never counts as smaller.
+    Runs on Python ``complex`` and ``float``, dividing through
+    ``_quotient``.  Near a double root p'(z) is tiny, the step lands far
+    away and p there can overflow: to inf - inf = nan, which never counts
+    as smaller, or to finite parts whose modulus ``abs`` refuses with
+    OverflowError, which rejects the step the same way.
     """
     a3, a2, a1, a0 = coeffs
-
-    def val(x):
-        return (((x + a3) * x + a2) * x + a1) * x + a0
-
-    pz = val(z)
+    pz = (((z + a3) * z + a2) * z + a1) * z + a0
+    try:
+        size = abs(pz)
+    except OverflowError:
+        size = math.inf
     for _ in range(iters):
         dz = ((4.0 * z + 3.0 * a3) * z + 2.0 * a2) * z + a1
         if dz == 0:
             break
-        cand = z - pz / dz
-        pc = val(cand)
-        if not abs(pc) < abs(pz):
+        cand = z - _quotient(pz, dz)
+        pc = (((cand + a3) * cand + a2) * cand + a1) * cand + a0
+        try:
+            size_c = abs(pc)
+        except OverflowError:  # |p(cand)| is beyond the float range
             break
-        z, pz = cand, pc
+        if not size_c < size:
+            break
+        z, pz, size = cand, pc, size_c
     return z
+
+
+def _trace(m):
+    """Trace of a 4x4 float array as a Python float, summed left to right as numpy's is."""
+    a, b, c, d = m.diagonal().tolist()
+    return a + b + c + d
 
 
 def characteristic_roots(matrix):
     """Eigenvalues of a real 4x4 matrix via its characteristic quartic.
 
     The monic characteristic polynomial is assembled from power-sum traces
-    (Newton's identities), solved in closed form, then Newton-polished.
-    Suitable for well-scaled spectra; clustered tiny eigenvalues of badly
-    scaled products lose absolute accuracy with any polynomial route.
+    (Newton's identities), solved in closed form, then Newton-polished on
+    Python scalars.  Suitable for well-scaled spectra; clustered tiny
+    eigenvalues of badly scaled products lose absolute accuracy with any
+    polynomial route.
     """
     m = np.asarray(matrix, dtype=float)
     if m.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
     m2 = m @ m
     m3 = m2 @ m
-    p1 = float(np.trace(m))
-    p2 = float(np.trace(m2))
-    p3 = float(np.trace(m3))
-    p4 = float(np.trace(m3 @ m))
+    p1 = _trace(m)
+    p2 = _trace(m2)
+    p3 = _trace(m3)
+    p4 = _trace(m3 @ m)
     e1 = p1
     e2 = (e1 * p1 - p2) / 2.0
     e3 = (e2 * p1 - e1 * p2 + p3) / 3.0
     e4 = (e3 * p1 - e2 * p2 + e1 * p3 - p4) / 4.0
 
     coeffs = (-e1, e2, -e3, e4)
-    roots = quartic_roots(*coeffs)
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected steps may overflow
-        return np.array([_polish_root(coeffs, z) for z in roots])
+    return np.array([_polish_root(coeffs, z) for z in quartic_roots(*coeffs).tolist()])

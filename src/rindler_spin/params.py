@@ -16,6 +16,7 @@ physical units.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -116,15 +117,24 @@ def gamma0(mu, gap, constants=CODATA):
     """Zero-acceleration spontaneous flip rate (8/3) mu^2 Delta^3 / (hbar^4 c^3).
 
     Returns 1/s; this is the rate unit of every dimensionless module.
-    Raises DomainError where mu^2, gap^3 or the rate is not a positive
-    finite float.
+    Where the direct product over- or underflows, the same formula is
+    taken in logs, so a rate that is itself a float is still returned.
+    Raises DomainError where the rate is not a positive finite float.
     """
     if mu <= 0 or gap <= 0:
         raise DomainError("mu and gap must be strictly positive")
     try:
-        rate = (8.0 / 3.0) * mu**2 * gap**3 / (constants.hbar**4 * constants.c**3)
-    except OverflowError:  # mu**2 or gap**3
-        rate = math.inf
+        numerator = (8.0 / 3.0) * mu**2 * gap**3
+        rate = numerator / (constants.hbar**4 * constants.c**3)
+    except OverflowError:  # a power leaves the float range
+        numerator = rate = math.inf
+    if not (numerator >= sys.float_info.min and 0 < rate < math.inf):  # under- or overflow
+        log_rate = (math.log(8.0 / 3.0) + 2.0 * math.log(mu) + 3.0 * math.log(gap)
+                    - 4.0 * math.log(constants.hbar) - 3.0 * math.log(constants.c))
+        try:
+            rate = math.exp(log_rate)
+        except OverflowError:
+            rate = math.inf
     if not 0 < rate < math.inf:
         raise DomainError(f"gamma0 is not a positive finite float at mu = {mu:g} erg/G, "
                           f"gap = {gap:g} erg")

@@ -5,8 +5,8 @@ import pytest
 
 from rindler_spin import correlator
 from rindler_spin import (CODATA, DomainError, NumericError, PhysicalConstants,
-                          SingularityError, bose_occupation, rates_closed,
-                          rates_numeric, wightman_flat, wightman_rindler)
+                          RateSet, SingularityError, bose_occupation, oracle_residual,
+                          rates_closed, rates_numeric, wightman_flat, wightman_rindler)
 
 C, HBAR = CODATA.c, CODATA.hbar
 
@@ -194,6 +194,15 @@ def test_rates_numeric_residual_guard(monkeypatch):
     with pytest.raises(NumericError) as excinfo:
         rates_numeric(1.0)
     assert excinfo.value.residual is not None
+
+
+def test_oracle_residual():
+    closed = rates_closed(1.0)
+    assert oracle_residual(closed, closed) == 0.0
+    off = RateSet(alpha=1.0, n=closed.n, g_plus=closed.g_plus, g_minus=closed.g_minus,
+                  g_z=closed.g_z * (1.0 + 1e-6))
+    assert oracle_residual(off, closed) == pytest.approx(1e-6, rel=1e-9)
+    assert oracle_residual(rates_numeric(1.0), closed) < 1e-12
 
 
 def test_rateset_validation():

@@ -155,6 +155,28 @@ def test_evolve_analytic_long_time_steady_pattern():
     assert out.r[3, 0] == pytest.approx(TANH_PI * 0.25, rel=1e-10)
 
 
+def test_evolve_analytic_bit_exact_rows():
+    # row by row: rows 1 and 2 decay at the coherence rate, row 3 relaxes
+    # toward the asymptote fed by row 0; without flips row 3 stays put
+    rng = np.random.default_rng(37)
+    no_flip = RateSet(alpha=1.0, n=0.0, g_plus=0.0, g_minus=0.0, g_z=0.3)
+    starts = (bell_state(), coeffs_from_density(random_density(rng, real=True)))
+    for rates in [rates_closed(a) for a in (0.5, 1.0, 3.7, 10.0)] + [no_flip]:
+        flip_sum = rates.g_minus + rates.g_plus
+        for tau in (0.0, 0.37, 1.0, 4.2):
+            for coeffs in starts:
+                r0 = coeffs.r
+                decay = math.exp(-0.5 * (flip_sum + 4.0 * rates.g_z) * tau)
+                want = np.array(r0)
+                want[1] = r0[1] * decay
+                want[2] = r0[2] * decay
+                if flip_sum > 0:
+                    relax = math.exp(-flip_sum * tau)
+                    asympt = (rates.g_minus - rates.g_plus) / flip_sum
+                    want[3] = r0[3] * relax + asympt * r0[0] * (1.0 - relax)
+                np.testing.assert_array_equal(evolve_analytic(coeffs, rates, tau).r, want)
+
+
 def test_evolve_analytic_negative_tau():
     with pytest.raises(DomainError):
         evolve_analytic(bell_state(), rates_closed(1.0), -0.1)

@@ -11,7 +11,7 @@ from rindler_spin import (CODATA, DensityMatrix, DomainError, NumericError,
                           density_from_coefficients, disentanglement_time,
                           evolve_analytic, gamma0, lab_exponent_constant,
                           rates_closed, relaxation_times, steady_state,
-                          t0_lab, tau0_asymptotic)
+                          t0_lab, tau0_asymptotic, tau0_inverse_cube)
 from rindler_spin.dynamics import PAULI2, SIGMA
 from rindler_spin.linalg4 import characteristic_roots
 
@@ -322,6 +322,15 @@ def test_tau0_asymptotic_dimensionless_crosscheck():
     dimensionless = gamma0(mu, gap) * tau0_asymptotic(accel, CODATA, mu)
     assert dimensionless == pytest.approx(math.pi * math.log(3.0) / alpha**3, rel=1e-12)
     assert dimensionless == pytest.approx(disentanglement_time(alpha), rel=1e-3)
+    assert tau0_inverse_cube(alpha) == pytest.approx(dimensionless, rel=1e-12)
+
+
+def test_tau0_inverse_cube_domain():
+    assert tau0_inverse_cube(1.0) == math.pi * math.log(3.0)
+    assert tau0_inverse_cube(1e-110) == math.inf  # alpha^3 underflows to 0
+    for alpha in (0.0, -1.0, 1e103):
+        with pytest.raises(DomainError):
+            tau0_inverse_cube(alpha)
 
 
 def test_lab_exponent_constant():

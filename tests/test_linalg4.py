@@ -1,8 +1,11 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
-from rindler_spin.linalg4 import (characteristic_roots, hermitian_eigenvalues,
-                                  jacobi_hermitian, quartic_roots)
+from rindler_spin.linalg4 import (_polish_root, _quotient, _trace, characteristic_roots,
+                                  hermitian_eigenvalues, jacobi_hermitian, quartic_roots)
 
 from helpers import random_density
 
@@ -77,3 +80,31 @@ def test_characteristic_roots_random_matrices():
 def test_characteristic_roots_shape_check():
     with pytest.raises(ValueError):
         characteristic_roots(np.eye(3))
+
+
+def test_scalar_helpers_round_as_numpy():
+    # the polish and the traces run on Python scalars but round as numpy does
+    rng = np.random.default_rng(41)
+    for _ in range(2000):
+        a, b = (complex(*rng.standard_normal(2) * 10.0 ** rng.uniform(-8, 8, 2))
+                for _ in range(2))
+        for divisor in (b, complex(b.real, 0.0), complex(0.0, b.imag)):
+            assert _quotient(a, divisor) == complex(np.complex128(a) / np.complex128(divisor))
+        m = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-3, 3, (4, 4))
+        assert _trace(m) == float(m.trace())
+
+
+def test_polish_root_overflowing_modulus_rejects_the_step():
+    # p(z) = z^4 + 1.  From a tiny z the Newton step lands near -1/(4 z^3),
+    # where both parts of p are finite floats but |p| is about 2e308
+    coeffs = (0.0, 0.0, 0.0, 1.0)
+    z = cmath.rect((4.0 * 2.0 ** 0.25 * 1e77) ** (-1.0 / 3.0), -math.pi / 48.0)  # |cand|^4 = 2e308
+
+    def p(x):
+        return (((x + coeffs[0]) * x + coeffs[1]) * x + coeffs[2]) * x + coeffs[3]
+
+    cand = z - p(z) / (4.0 * z * z * z)
+    assert cmath.isfinite(p(cand))
+    with pytest.raises(OverflowError):
+        abs(p(cand))
+    assert _polish_root(coeffs, z) == z

@@ -12,6 +12,8 @@ GAP_1G = 1.85480201566e-20            # 2 mu_B * 1 G, erg
 ALPHA_1E26 = 189652205.99779526       # alpha(a=1e26, gap=2 mu_B)
 FIELD_ACCEL = 5.272809742089444e17    # |e|/m * 1 statV/cm, cm/s^2
 GAMMA0_1G = 4.3916708700627577e-23    # gamma0(mu_B, 2 mu_B), 1/s
+GAMMA0_TINY_MU = 5.106162805708648e-283   # gamma0(1e-150, 2 mu_B), 1/s
+GAMMA0_HUGE_MU = 8.002063258166495e216    # gamma0(1e160, 1e-60), 1/s
 UNRUH_247 = 1.0015883401180718        # K at a = 2.47e22 cm/s^2
 ACCEL_1K = 2.4660830214026106e22      # cm/s^2 giving exactly 1 K
 
@@ -91,6 +93,9 @@ def test_gamma0_scaling_laws():
 
 def test_gamma0_frozen_value():
     assert gamma0(CODATA.bohr_magneton, GAP_1G) == pytest.approx(GAMMA0_1G, rel=1e-12)
+    # mu**2 * gap**3 underflows to 0, or mu**2 overflows, while the rate is a float
+    assert gamma0(1e-150, GAP_1G) == pytest.approx(GAMMA0_TINY_MU, rel=1e-12)
+    assert gamma0(1e160, 1e-60) == pytest.approx(GAMMA0_HUGE_MU, rel=1e-12)
 
 
 def test_gamma0_domain():

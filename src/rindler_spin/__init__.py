@@ -11,7 +11,7 @@ from .params import (CODATA, OperatingPoint, PhysicalConstants, alpha_of,
                      acceleration_from_field, energy_gap, gamma0,
                      unruh_temperature)
 from .kinematics import (AccelerationProfile, WorldlineEvent, rapidity,
-                         rindler_event, thomas_omega, worldline)
+                         rindler_event, rindler_residual, thomas_omega, worldline)
 from .correlator import (RateSet, bose_occupation, oracle_residual, rates_closed,
                          rates_numeric, wightman_flat, wightman_rindler)
 from .dynamics import (DensityMatrix, LindbladSpec, PauliCoefficients,
@@ -34,7 +34,7 @@ __all__ = [
     "CODATA", "OperatingPoint", "PhysicalConstants", "alpha_of",
     "acceleration_from_field", "energy_gap", "gamma0", "unruh_temperature",
     "AccelerationProfile", "WorldlineEvent", "rapidity", "rindler_event",
-    "thomas_omega", "worldline",
+    "rindler_residual", "thomas_omega", "worldline",
     "RateSet", "bose_occupation", "oracle_residual", "rates_closed", "rates_numeric",
     "wightman_flat", "wightman_rindler",
     "DensityMatrix", "LindbladSpec", "PauliCoefficients", "bell_state",

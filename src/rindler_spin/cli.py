@@ -3,8 +3,8 @@
 Subcommands
 -----------
 rates      one row per alpha: occupation, flip/dephasing rates, T1, T2;
-           ``--oracle`` adds the quadrature cross-check columns (blank
-           below alpha 0.4, where the quadrature is refused).
+           ``--oracle`` adds the trapezoid cross-check columns (blank
+           below alpha 0.4, where the trapezoid route is refused).
 curve      concurrence decay of the Bell pair at fixed alpha, closed form
            next to the full master-equation route, with tau0 on the last row.
 surface    long-format concurrence over an (alpha, tau) grid plus a second
@@ -40,7 +40,7 @@ from .entanglement import (accel_for_t0, concurrence_curve, concurrence_numeric,
                            relaxation_times, t0_lab, tau0_asymptotic,
                            tau0_inverse_cube)
 from .errors import DomainError, NumericError, RindlerSpinError, ValidationError
-from .kinematics import AccelerationProfile, rindler_event, worldline
+from .kinematics import AccelerationProfile, rindler_residual, worldline
 from .params import CODATA, alpha_of, gamma0, unruh_temperature
 
 CONFIG_ENV = "RINDLER_SPIN_CONFIG"
@@ -137,7 +137,7 @@ _SETTINGS = {
         metavar="LO:HI:N", help="proper-time grid, gamma0^-1 units (worldline: c=1 units)")),
     "oracle": (_to_bool, False, dict(
         action="store_const", const=True,
-        help="rates: add shifted-contour quadrature cross-check columns")),
+        help="rates: add shifted-contour trapezoid cross-check columns")),
     "format": (str, "csv", dict(choices=_FORMATS, help="output format")),
     "out": (str, None, dict(help="output file path (default: stdout)")),
     "profile": (str, "constant:1", dict(
@@ -270,7 +270,7 @@ def cmd_rates(config):
                 num = rates_numeric(float(alpha))
                 row += [num.g_plus, num.g_minus, oracle_residual(num, rs)]
             else:
-                row += [None, None, None]  # the quadrature refuses alpha < MIN_NUMERIC_ALPHA
+                row += [None, None, None]  # the trapezoid route refuses alpha < MIN_NUMERIC_ALPHA
         rows.append(row)
     _emit(config, columns, rows)
 
@@ -308,9 +308,7 @@ def cmd_worldline(config):
     for ev in events:
         row = [ev.tau, ev.t, ev.z, ev.rapidity, ev.beta]
         if a > 0:
-            ref, floor = rindler_event(a, ev.tau, c=1.0), 1.0 / a
-            row.append(max(abs(ev.t - ref.t) / max(abs(ref.t), floor),
-                           abs(ev.z - ref.z) / max(abs(ref.z), floor)))
+            row.append(rindler_residual(ev, a, c=1.0))
         rows.append(row)
     _emit(config, columns, rows)
 

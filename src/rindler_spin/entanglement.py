@@ -244,13 +244,14 @@ def tau0_asymptotic(accel, constants, mu) -> float:
     """High-temperature disentanglement time (3 pi ln3 / 8) hbar c^6 / (mu^2 a^3), s.
 
     In gamma0 units this is pi*ln(3)/alpha^3, the inverse-cube law valid
-    for alpha >> 1 with relative error O(alpha^-2).
+    for alpha >> 1 with relative error O(alpha^-2).  It is
+    ``lab_exponent_constant`` times c/a^3, and raises DomainError where that
+    constant does.
     """
     if not 0 < accel < math.inf:
         raise DomainError("tau0_asymptotic requires a finite accel > 0")
-    prefactor = 3.0 * math.pi * math.log(3.0) / 8.0
-    scale = prefactor * constants.hbar * constants.c**6 / mu**2
-    return scale / accel / accel / accel  # saturates to inf or 0 where a^3 leaves the float range
+    # saturates to inf or 0 where a^3 leaves the float range
+    return lab_exponent_constant(constants, mu) * constants.c / accel / accel / accel
 
 
 def tau0_inverse_cube(alpha) -> float:

@@ -10,7 +10,8 @@ which for constant a reduces to the familiar hyperbola
 t = (c/a) sinh(a tau / c), z = (c^2/a) cosh(a tau / c).  ``worldline``
 integrates the general case with LSODA (Petzold 1983, the compiled solver
 behind ``scipy.integrate.odeint``) and ``rindler_event`` gives the closed
-form that it is checked against.
+form that it is checked against, with ``rindler_residual`` the distance
+between the two.
 
 Only motion along z is supported.  ``thomas_omega`` is a standalone
 3-vector utility for the kinematic spin precession of non-collinear
@@ -147,14 +148,31 @@ def rindler_event(accel, tau, c=CODATA.c):
     """Closed-form event on the constant-acceleration hyperbola.
 
     t = (c/a) sinh(a tau / c), z = (c^2/a) cosh(a tau / c); valid for
-    accel > 0 only (use :func:`worldline` for free motion).
+    accel > 0 only (use :func:`worldline` for free motion).  Raises
+    DomainError where t or z is not a finite float.
     """
     if accel <= 0:
         raise DomainError("rindler_event requires accel > 0")
     r = accel * tau / c
-    return WorldlineEvent(tau=tau, t=(c / accel) * math.sinh(r),
-                          z=(c**2 / accel) * math.cosh(r),
-                          rapidity=r, beta=math.tanh(r))
+    try:
+        t, z = (c / accel) * math.sinh(r), (c**2 / accel) * math.cosh(r)
+    except OverflowError:  # sinh or cosh of a rapidity past ~710
+        t = z = math.inf
+    if not (math.isfinite(t) and math.isfinite(z)):  # also c/a overflowed times sinh(0), or nan
+        raise DomainError(f"rindler_event leaves the float range at accel = {accel:g}, "
+                          f"tau = {tau:g}")
+    return WorldlineEvent(tau=tau, t=t, z=z, rapidity=r, beta=math.tanh(r))
+
+
+def rindler_residual(event, accel, c=CODATA.c):
+    """Largest relative distance of ``event``'s t and z from the hyperbola of ``accel``.
+
+    The reference is ``rindler_event(accel, event.tau, c)``; the relative
+    distances are floored at the hyperbola's scales, c/a for t and c^2/a for z.
+    """
+    ref = rindler_event(accel, event.tau, c)
+    return max(abs(event.t - ref.t) / max(abs(ref.t), c / accel),
+               abs(event.z - ref.z) / max(abs(ref.z), c**2 / accel))
 
 
 def thomas_omega(beta, dbeta_dt):

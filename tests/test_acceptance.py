@@ -47,7 +47,7 @@ def test_criterion_2_rate_integral_oracle():
         for a, b in ((num.g_plus, closed.g_plus), (num.g_minus, closed.g_minus),
                      (num.g_z, closed.g_z)):
             worst = max(worst, abs(a - b) / abs(b))
-    _report(2, "shifted-contour quadrature matches closed-form rates",
+    _report(2, "shifted-contour trapezoid matches closed-form rates",
             worst, 1e-4, worst < 1e-4)
 
 

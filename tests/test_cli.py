@@ -65,7 +65,7 @@ def test_rates_oracle_below_cutoff_blank(capsys):
 
 
 def test_rates_oracle_default_grid(capsys):
-    # the documented oracle line on the default grid: blank below the quadrature floor
+    # the documented oracle line on the default grid: blank below the trapezoid floor
     code, out, _ = run_cli(capsys, "rates", "--oracle")
     assert code == 0
     _, rows = parse_csv(out)
@@ -363,15 +363,21 @@ def test_numeric_error_exit_code(capsys):
     (["constants", "--mu", "nan", "--accel", "1e26"], 2),
     (["constants", "--accel", "1e26", "--mu", "1e200"], 2),  # mu**2 overflowed in gamma0
     (["constants", "--accel", "1e26", "--gap", "1e200"], 2),  # gap**3 overflowed
-    (["constants", "--accel", "1e26", "--mu", "1e-200"], 2),  # gamma0 underflowed to 0
 ])
-def test_extreme_alpha_exit_codes(argv, expected):
+def test_extreme_alpha_exit_codes(capsys, argv, expected):
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == expected
+
+
+def test_extreme_exit_code_in_a_subprocess():
+    # the module entry point, as a user runs it: a package error, not a traceback
     src = str(Path(rindler_spin.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = ["constants", "--accel", "1e26", "--mu", "1e-200"]  # gamma0 underflowed to 0
     proc = subprocess.run([sys.executable, "-m", "rindler_spin.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == expected
+    assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
 
 

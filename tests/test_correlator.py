@@ -106,6 +106,12 @@ def test_bose_occupation_limits():
     assert bose_occupation(1.0) == pytest.approx(N_ALPHA1, rel=1e-14)
 
 
+def test_bose_occupation_refuses_inf_and_nan():
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            bose_occupation(alpha)
+
+
 def test_bose_occupation_large_alpha_series():
     # n ~ alpha/(2 pi) - 1/2 + O(1/alpha)
     series = 100.0 / (2.0 * math.pi) - 0.5
@@ -190,10 +196,20 @@ def test_rates_numeric_refuses_small_alpha():
 
 
 def test_rates_numeric_residual_guard(monkeypatch):
-    monkeypatch.setattr(correlator, "RESIDUAL_TOL", 1e-16)  # below the ~1e-13 residual
+    monkeypatch.setattr(correlator, "RESIDUAL_TOL", -1.0)  # the residual at alpha 1 is exactly 0
     with pytest.raises(NumericError) as excinfo:
         rates_numeric(1.0)
     assert excinfo.value.residual is not None
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.1, 1.0, 2.5])
+def test_shifted_fourier_matches_the_exact_transform(omega):
+    # F(omega) = 2 Int_0^inf cos(omega x) sech^4(x/2) dx = (8 pi/3) omega (1 + omega^2) / sinh(pi omega)
+    exact = 8.0 / 3.0 if omega == 0 else (
+        8.0 * math.pi / 3.0 * omega * (1.0 + omega * omega) / math.sinh(math.pi * omega))
+    value, estimate = correlator._shifted_fourier(omega)
+    assert abs(value - exact) <= 1e-13 * exact
+    assert estimate <= 1e-13
 
 
 def test_oracle_residual():

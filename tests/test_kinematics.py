@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rindler_spin import (AccelerationProfile, CODATA, DomainError, NumericError,
-                          kinematics, rapidity, rindler_event, thomas_omega, worldline)
+                          kinematics, rapidity, rindler_event, rindler_residual,
+                          thomas_omega, worldline)
 
 C = CODATA.c
 
@@ -170,6 +171,31 @@ def test_rindler_event_domain():
         rindler_event(0.0, 1.0)
     with pytest.raises(DomainError):
         rindler_event(-1e20, 1.0)
+
+
+@pytest.mark.parametrize("accel, tau", [
+    (1.0, 1e60),       # sinh of the rapidity overflows
+    (1e60, 1.0),
+    (5e-324, 1.0),     # c/a overflows and meets sinh(0)
+    (1.0, math.nan),
+])
+def test_rindler_event_refuses_events_outside_the_float_range(accel, tau):
+    with pytest.raises(DomainError):
+        rindler_event(accel, tau)
+
+
+def test_rindler_residual():
+    ev = rindler_event(2.0, 1.5, c=1.0)
+    assert rindler_residual(ev, 2.0, c=1.0) == 0.0
+    # at the vertex t = 0, so the t distance is relative to the floor c/a
+    vertex = rindler_event(1e26, 0.0)
+    shifted = kinematics.WorldlineEvent(tau=0.0, t=1e-6 * C / 1e26, z=vertex.z,
+                                        rapidity=0.0, beta=0.0)
+    assert rindler_residual(shifted, 1e26) == pytest.approx(1e-6, rel=1e-12)
+    # z relative to the hyperbola's own z, which never drops below c^2/a
+    off = kinematics.WorldlineEvent(tau=0.0, t=0.0, z=vertex.z * (1.0 + 1e-9),
+                                    rapidity=0.0, beta=0.0)
+    assert rindler_residual(off, 1e26) == pytest.approx(1e-9, rel=1e-6)
 
 
 def test_thomas_collinear_vanishes():

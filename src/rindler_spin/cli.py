@@ -18,10 +18,11 @@ constants  physical-unit restoration for an electron-like moment: gamma0,
 Output is CSV (comma separated, 9 significant digits, mandatory header) or
 JSON; identical configurations produce byte-identical files.  Flags win
 over the config file (``--config`` or $RINDLER_SPIN_CONFIG, ``key = value``
-lines with ``#`` comments), which wins over built-in defaults.  The
-``_SETTINGS`` table is the single list of those settings: each key is a
-config key and, with ``-`` for ``_``, a flag.  Exit codes: 0 success,
-2 argument error, 3 numeric error, 4 I/O error.
+lines with ``#`` comments), which wins over built-in defaults.  Each key
+of ``_SETTINGS`` is a config key and, with ``-`` for ``_``, a flag;
+``_COMMANDS`` holds the settings each command reads, with their defaults,
+and a command takes and reads only those plus ``--format``/``--out``.
+Exit codes: 0 success, 2 argument error, 3 numeric error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ CONFIG_ENV = "RINDLER_SPIN_CONFIG"
 EXPONENT_REFERENCE_M2S4 = 3.8e61  # reference electron value of the t0 exponent constant
 
 _KNOWN_PROFILES = ("constant:a", "sinusoid:a0,omega", "zero")
-
-# figure-range grid defaults per command; the others run at alpha = 1, tau 0..5
-_ALPHA_GRIDS = {"rates": "0.05:10:200:log", "surface": "0.5:5:60"}
-_TAU_GRIDS = {"worldline": "0:5:101"}
 _FORMATS = ("csv", "json")
 
 
@@ -63,26 +60,26 @@ class _IOFailure(RindlerSpinError, OSError):
 
 
 def _parse_grid(spec, name):
+    """The strictly increasing grid that ``--<name>-grid LO:HI:N[:log]`` describes."""
+    flag = f"--{name}-grid"
     parts = str(spec).split(":")
-    log = False
-    if len(parts) == 4:
-        if parts[3] != "log":
-            raise _ArgumentError(f"{name}: fourth grid field must be 'log'")
-        log = True
-        parts = parts[:3]
-    if len(parts) != 3:
-        raise _ArgumentError(f"{name}: expected lo:hi:n[:log], got {spec!r}")
+    if len(parts) not in (3, 4):
+        raise _ArgumentError(f"{flag}: expected lo:hi:n[:log], got {spec!r}")
+    log = len(parts) == 4
+    if log and parts[3] != "log":
+        raise _ArgumentError(f"{flag}: fourth grid field must be 'log'")
     try:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise _ArgumentError(f"{name}: {exc}") from exc
+        raise _ArgumentError(f"{flag}: {exc}") from exc
     if n < 1 or not math.isfinite(hi - lo) or hi < lo:  # a nan or inf bound, or hi - lo overflows
-        raise _ArgumentError(f"{name}: need finite lo <= hi and n >= 1")
-    if log:
-        if lo <= 0:
-            raise _ArgumentError(f"{name}: log grid requires lo > 0")
-        return np.logspace(math.log10(lo), math.log10(hi), n)
-    return np.linspace(lo, hi, n)
+        raise _ArgumentError(f"{flag}: need finite lo <= hi and n >= 1")
+    if log and lo <= 0:
+        raise _ArgumentError(f"{flag}: log grid requires lo > 0")
+    grid = np.logspace(math.log10(lo), math.log10(hi), n) if log else np.linspace(lo, hi, n)
+    if np.any(np.diff(grid) <= 0):  # a repeated point repeats rows; a falling one fails
+        raise _ArgumentError(f"{name} grid must be strictly increasing")
+    return grid
 
 
 def _parse_profile(spec):
@@ -128,66 +125,57 @@ def _to_bool(text):
 
 
 #: every setting: config key and argparse dest -> (converter for config-file
-#: text, default, argparse options).  Grids stay text until _resolve_config,
-#: where their defaults depend on the command.
+#: text, argparse options).  Defaults live with the commands in _COMMANDS.
 _SETTINGS = {
-    "alpha": (float, None, dict(help="single dimensionless acceleration")),
-    "alpha_grid": (str, None, dict(metavar="LO:HI:N[:log]", help="alpha sweep grid")),
-    "tau_grid": (str, None, dict(
+    "alpha": (float, dict(help="single dimensionless acceleration")),
+    "alpha_grid": (str, dict(metavar="LO:HI:N[:log]", help="alpha sweep grid")),
+    "tau_grid": (str, dict(
         metavar="LO:HI:N", help="proper-time grid, gamma0^-1 units (worldline: c=1 units)")),
-    "oracle": (_to_bool, False, dict(
+    "oracle": (_to_bool, dict(
         action="store_const", const=True,
-        help="rates: add shifted-contour trapezoid cross-check columns")),
-    "format": (str, "csv", dict(choices=_FORMATS, help="output format")),
-    "out": (str, None, dict(help="output file path (default: stdout)")),
-    "profile": (str, "constant:1", dict(
+        help="add shifted-contour trapezoid cross-check columns")),
+    "format": (str, dict(choices=_FORMATS, help="output format")),
+    "out": (str, dict(help="output file path (default: stdout)")),
+    "profile": (str, dict(
         metavar="NAME[:PARAMS]",
-        help=f"worldline profile, one of: {', '.join(_KNOWN_PROFILES)}")),
-    "mu": (float, CODATA.bohr_magneton, dict(help="magnetic moment, erg/G")),
-    "gap": (float, 2.0 * CODATA.bohr_magneton,   # electron moment in a 1 G field
-            dict(help="energy gap, erg")),
-    "accel": (float, None, dict(help="acceleration, cm/s^2")),
-    "target_t0": (float, None, dict(
-        help="constants: solve for the acceleration giving this t0 (s)")),
+        help=f"acceleration profile, one of: {', '.join(_KNOWN_PROFILES)}")),
+    "mu": (float, dict(help="magnetic moment, erg/G")),
+    "gap": (float, dict(help="energy gap, erg")),
+    "accel": (float, dict(help="acceleration, cm/s^2")),
+    "target_t0": (float, dict(help="solve for the acceleration giving this t0 (s)")),
 }
+#: the settings every command reads, with their defaults
+_SHARED = {"format": "csv", "out": None}
 
 
 def _resolve_config(args):
-    """Fill ``args`` in place: flag, else config file, else default; parse the grids."""
+    """Fill the command's settings in ``args``: flag, else config file, else default."""
     path = args.config or os.environ.get(CONFIG_ENV)
     cfg = _load_config_file(path) if path else {}
     unknown = set(cfg) - set(_SETTINGS)
     if unknown:
         raise _ArgumentError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key, (convert, default, _) in _SETTINGS.items():
-        if getattr(args, key) is not None:
-            continue
-        value = default
-        if key in cfg:
+    defaults = {**_COMMANDS[args.command][2], **_SHARED}
+    for key in defaults:
+        if getattr(args, key) is None and key in cfg:
             try:
-                value = convert(cfg[key])
+                setattr(args, key, _SETTINGS[key][0](cfg[key]))
             except (TypeError, ValueError) as exc:
                 raise _ArgumentError(f"config key {key}: {exc}") from exc
-        setattr(args, key, value)
-
-    if args.alpha is not None and args.alpha_grid is not None:
+    if getattr(args, "alpha_grid", None) is not None and args.alpha is not None:
         raise _ArgumentError("give either --alpha or --alpha-grid, not both")
-    if args.alpha is not None:
-        args.alpha_grid = np.array([args.alpha], dtype=float)
-    else:
-        if args.alpha_grid is None:
-            args.alpha_grid = _ALPHA_GRIDS.get(args.command, "1:1:1")
-        args.alpha_grid = _parse_grid(args.alpha_grid, "--alpha-grid")
-    if args.tau_grid is None:
-        args.tau_grid = _TAU_GRIDS.get(args.command, "0:5:120")
-    args.tau_grid = _parse_grid(args.tau_grid, "--tau-grid")
+    for key, default in defaults.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
 
+    if "alpha_grid" in defaults:
+        args.alpha_grid = (_parse_grid(args.alpha_grid, "alpha") if args.alpha is None
+                           else np.array([args.alpha], dtype=float))
+    if "tau_grid" in defaults:
+        args.tau_grid = _parse_grid(args.tau_grid, "tau")
     if args.format not in _FORMATS:
         raise _ArgumentError(f"unknown format {args.format!r} (csv or json)")
-    for name, grid in (("alpha", args.alpha_grid), ("tau", args.tau_grid)):
-        if np.any(np.diff(grid) <= 0):  # a repeated point repeats rows; a falling one fails
-            raise _ArgumentError(f"{name} grid must be strictly increasing")
-    if not (0 < args.mu < math.inf and 0 < args.gap < math.inf):
+    if "mu" in defaults and not (0 < args.mu < math.inf and 0 < args.gap < math.inf):
         raise _ArgumentError("--mu and --gap must be finite and positive")
     return args
 
@@ -276,11 +264,8 @@ def cmd_rates(config):
 
 
 def cmd_curve(config):
-    if config.alpha_grid.size != 1:
-        raise _ArgumentError("curve needs a single --alpha")
-    alpha = float(config.alpha_grid[0])
-    curve = concurrence_curve(alpha, config.tau_grid)
-    numeric = concurrence_numeric(alpha, config.tau_grid)
+    curve = concurrence_curve(config.alpha, config.tau_grid)
+    numeric = concurrence_numeric(config.alpha, config.tau_grid)
     rows = [[tau, c, c_numeric, None]
             for (tau, c), c_numeric in zip(curve.samples, numeric)]
     rows[-1][-1] = curve.tau0
@@ -339,13 +324,21 @@ def cmd_constants(config):
     _emit(config, [], [], scalars=values)
 
 
-#: subcommand -> (function, help)
+#: subcommand -> (function, help, {setting it reads: default}); a None default
+#: means unset.  --alpha, where given, replaces the alpha grid.
 _COMMANDS = {
-    "rates": (cmd_rates, "rate and relaxation-time sweep over alpha"),
-    "curve": (cmd_curve, "concurrence decay at fixed alpha (closed form + master equation)"),
-    "surface": (cmd_surface, "concurrence over an (alpha, tau) grid plus zero crossings"),
-    "worldline": (cmd_worldline, "proper-time trajectory dump (units with c = 1)"),
-    "constants": (cmd_constants, "physical-unit outputs for an electron-like moment"),
+    "rates": (cmd_rates, "rate and relaxation-time sweep over alpha",
+              dict(alpha=None, alpha_grid="0.05:10:200:log", oracle=False)),
+    "curve": (cmd_curve, "concurrence decay at fixed alpha (closed form + master equation)",
+              dict(alpha=1.0, tau_grid="0:5:120")),
+    "surface": (cmd_surface, "concurrence over an (alpha, tau) grid plus zero crossings",
+                dict(alpha=None, alpha_grid="0.5:5:60", tau_grid="0:5:120")),
+    "worldline": (cmd_worldline, "proper-time trajectory dump (units with c = 1)",
+                  dict(tau_grid="0:5:101", profile="constant:1")),
+    "constants": (cmd_constants, "physical-unit outputs for an electron-like moment",
+                  dict(mu=CODATA.bohr_magneton,
+                       gap=2.0 * CODATA.bohr_magneton,  # electron moment in a 1 G field
+                       accel=None, target_t0=None)),
 }
 
 
@@ -355,9 +348,10 @@ def _build_parser():
         description="Entanglement decay of an accelerated spin pair: "
                     "rates, concurrence curves, worldlines, physical units.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, helptext) in _COMMANDS.items():
+    for name, (_, helptext, settings) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        for key, (convert, _, options) in _SETTINGS.items():
+        for key in (*settings, *_SHARED):
+            convert, options = _SETTINGS[key]
             if "action" not in options:
                 options = dict(options, type=convert)
             p.add_argument("--" + key.replace("_", "-"), **options)

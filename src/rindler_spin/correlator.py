@@ -77,7 +77,7 @@ def wightman_rindler(accel, s, eps, constants=CODATA):
 
     ``accel`` in cm/s^2 (positive), ``s`` and ``eps`` in seconds.
     """
-    if accel <= 0:
+    if not accel > 0:
         raise DomainError("wightman_rindler requires accel > 0")
     if s == 0 and eps == 0:
         raise SingularityError("on-diagonal correlator needs a nonzero regulator")

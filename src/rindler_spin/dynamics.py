@@ -16,14 +16,15 @@ In the coefficient picture the sixteen ODEs decouple row by row:
 
 and ``evolve_analytic`` applies their closed-form solutions.  As an
 independent route, ``evolve_numeric`` builds the generator of the full
-master equation from the jump operators themselves (the 4x4 superoperator
-vectorized to 16x16, Havel, J. Math. Phys. 44, 534 (2003), then taken to
-the real Pauli coefficient basis), forms the matrix of one classical RK4
-step and raises it to the number of steps; the power is cached per
-(rates, step length, step count), so the equal segments of a time grid
-share it.  In that basis the identity row of the generator is exactly
-zero, so every power of the step matrix keeps r_00, and with it the
-trace, exact.  All evolution happens in the renormalized (interaction)
+master equation from the jump operators themselves (the 2x2 superoperator
+of the accelerated spin vectorized to 4x4, Havel, J. Math. Phys. 44, 534
+(2003), then taken to its real Pauli coefficient basis; the spectator
+index of r_ij passes through untouched), forms the matrix of one
+classical RK4 step and raises it to the number of steps; the power is
+cached per (rates, step length, step count), so the equal segments of a
+time grid share it.  In that basis the identity row of the generator is
+exactly zero, so every power of the step matrix keeps r_0j, and with it
+the trace, exact.  All evolution happens in the renormalized (interaction)
 picture; the residual coherent rotation is a local unitary on the first
 spin and drops out of every observable computed downstream (populations
 along z, concurrence), so it is never applied.
@@ -61,21 +62,22 @@ _BASIS_CONJ.setflags(write=False)
 # sigma- = (sigma_x + i sigma_y)/2 maps the excited level (sigma_z = -1) to
 # the ground level (sigma_z = +1) of the gap Hamiltonian -mu B sigma_z
 _SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
+#: the single-spin Pauli matrices as a 4x4 matrix, row i the flattened s_i
+_SIGMA_ROWS = np.array(SIGMA).reshape(4, 4)
 
 
 def _pauli_generator(jump):
-    """D[J] for J = jump on the first spin, as a real 16x16 map of the coefficients r.
+    """D[J] for J = jump on the first spin, as a real 4x4 map of its Pauli index.
 
-    Row-major vec(A rho B) = (A x B^T) vec(rho) gives the superoperator;
-    with B the 16 vectorized basis operators, vec(rho) = B^T r and
-    r = conj(B) vec(rho) / 4, which conjugates it to the Pauli basis.
+    Row-major vec(A rho B) = (A x B^T) vec(rho) gives the 2x2 superoperator;
+    with S the 4 vectorized Pauli matrices, vec(rho) = S^T r and
+    r = conj(S) vec(rho) / 2, which conjugates it to the Pauli basis.  On
+    the pair it acts as G @ r, the spectator index j of r_ij untouched.
     """
-    j = np.kron(jump, _ID2)
-    jdj = j.conj().T @ j
-    eye = np.eye(4)
-    superop = np.kron(j, j.conj()) - 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T))
-    gen = (_BASIS_CONJ @ superop @ _BASIS.T).real / 4.0
+    jdj = jump.conj().T @ jump
+    eye = np.eye(2)
+    superop = np.kron(jump, jump.conj()) - 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T))
+    gen = (_SIGMA_ROWS.conj() @ superop @ _SIGMA_ROWS.T).real / 2.0
     gen.setflags(write=False)
     return gen
 
@@ -84,8 +86,8 @@ def _pauli_generator(jump):
 _GEN_MINUS = _pauli_generator(_SIGMA_MINUS)
 _GEN_PLUS = _pauli_generator(_SIGMA_MINUS.conj().T)
 _GEN_Z = _pauli_generator(SIGMA[3])
-_EYE16 = np.eye(16)
-_EYE16.setflags(write=False)
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -230,7 +232,7 @@ def bloch_norm(coeffs: PauliCoefficients) -> float:
 
 def evolve_analytic(coeffs0: PauliCoefficients, rates: RateSet, tau) -> PauliCoefficients:
     """Closed-form coefficient evolution to dimensionless time tau (gamma0 units)."""
-    if tau < 0:
+    if not tau >= 0:
         raise DomainError("tau must be nonnegative")
     flip_sum = rates.g_minus + rates.g_plus
     coherence_rate = 0.5 * (flip_sum + 4.0 * rates.g_z)
@@ -252,7 +254,7 @@ def _step_power(g_minus, g_plus, g_z, h, steps):
     another; 64 entries hold every segment length of a few time grids.
     """
     hg = h * (g_minus * _GEN_MINUS + g_plus * _GEN_PLUS + g_z * _GEN_Z)
-    step = _EYE16 + hg @ (_EYE16 + (hg / 2.0) @ (_EYE16 + (hg / 3.0) @ (_EYE16 + hg / 4.0)))
+    step = _EYE4 + hg @ (_EYE4 + (hg / 2.0) @ (_EYE4 + (hg / 3.0) @ (_EYE4 + hg / 4.0)))
     power = np.linalg.matrix_power(step, steps)
     power.setflags(write=False)
     return power
@@ -283,9 +285,9 @@ def evolve_numeric(rho0: DensityMatrix, spec: LindbladSpec, tau) -> DensityMatri
     # to 13 significant digits gives them one cache key and one power
     h = float(f"{tau / steps:.12e}")
     power = _step_power(rates.g_minus, rates.g_plus, rates.g_z, h, steps)
-    r = power @ coeffs_from_density(rho0).r.reshape(16)
+    r = power @ coeffs_from_density(rho0).r
 
-    result = DensityMatrix((r @ _BASIS).reshape(4, 4))
+    result = DensityMatrix((r.reshape(16) @ _BASIS).reshape(4, 4))
     min_eig = result.min_eigenvalue()
     if min_eig < -1e-8:
         raise IntegrationInstabilityError(
@@ -300,7 +302,7 @@ def steady_state(coeffs0: PauliCoefficients, alpha) -> PauliCoefficients:
     Depends on the initial state only through its r_0j row; the result is
     [(1 + tanh(pi/alpha) sigma_z)/2] x (2 sum_j r_0j s_j), a product state.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError("steady_state requires alpha > 0")
     r = np.zeros((4, 4))
     r[0, :] = coeffs0.r[0, :]

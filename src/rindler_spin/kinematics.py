@@ -72,9 +72,12 @@ class WorldlineEvent:
 
 
 def rapidity(profile: AccelerationProfile, tau, c=CODATA.c):
-    """Cumulative boost angle (1/c) * integral_0^tau a(u) du by adaptive quadrature."""
-    if tau < 0:
-        raise DomainError("tau must be nonnegative")
+    """Cumulative boost angle (1/c) * integral_0^tau a(u) du by adaptive quadrature.
+
+    ``tau`` must be finite and nonnegative.
+    """
+    if not 0 <= tau < math.inf:
+        raise DomainError("tau must be finite and nonnegative")
     if tau == 0:
         return 0.0
     val, err = quad(lambda u: profile.a_of_tau(u) / c, 0.0, tau,
@@ -185,9 +188,9 @@ def thomas_omega(beta, dbeta_dt):
     b = np.asarray(beta, dtype=float)
     db = np.asarray(dbeta_dt, dtype=float)
     if b.shape != (3,) or db.shape != (3,):
-        raise ValueError("beta and dbeta_dt must be 3-vectors")
-    b2 = float(b @ b)
-    if b2 >= 1.0:
+        raise DomainError("beta and dbeta_dt must be 3-vectors")
+    b2 = float(b @ b) if np.all(abs(b) < 1.0) else math.inf  # b @ b overflows at 1e200
+    if not b2 < 1.0:
         raise DomainError("|beta| must be < 1")
     gamma = 1.0 / math.sqrt(1.0 - b2)
     return (gamma**2 / (gamma + 1.0)) * np.cross(db, b)

@@ -90,16 +90,16 @@ def alpha_of(accel, gap, constants=CODATA):
 
     ``accel`` in cm/s^2 (nonnegative), ``gap`` in erg (positive).
     """
-    if gap <= 0:
+    if not gap > 0:
         raise DomainError("gap must be strictly positive")
-    if accel < 0:
+    if not accel >= 0:
         raise DomainError("accel must be nonnegative")
     return accel * constants.hbar / (constants.c * gap)
 
 
 def energy_gap(mu, b_z):
     """Zeeman gap Delta = 2*mu*B_z (erg) of a moment mu (erg/G) in B_z (G)."""
-    if mu <= 0 or b_z <= 0:
+    if not (mu > 0 and b_z > 0):
         raise DomainError("mu and b_z must be strictly positive")
     return 2.0 * mu * b_z
 
@@ -108,9 +108,13 @@ def acceleration_from_field(e_z, constants=CODATA):
     """Rest-frame acceleration of an electron in an axial electric field.
 
     With the electron's signed charge -e, a = -(q/m) E_z = +(e/m) E_z;
-    ``e_z`` in statV/cm, result in cm/s^2.
+    ``e_z`` in statV/cm, result in cm/s^2.  Raises DomainError where the
+    result is not a finite float (a nan or huge ``e_z``).
     """
-    return constants.electron_charge / constants.electron_mass * e_z
+    accel = constants.electron_charge / constants.electron_mass * e_z
+    if not math.isfinite(accel):
+        raise DomainError(f"the acceleration at e_z = {e_z!r} statV/cm is not a finite float")
+    return accel
 
 
 def gamma0(mu, gap, constants=CODATA):
@@ -146,6 +150,6 @@ def unruh_temperature(accel, constants=CODATA):
 
     ``accel`` in cm/s^2 (nonnegative), result in K.
     """
-    if accel < 0:
+    if not accel >= 0:
         raise DomainError("accel must be nonnegative")
     return constants.hbar * accel / (2.0 * math.pi * constants.c * constants.boltzmann)

@@ -298,6 +298,42 @@ def test_config_every_setting(capsys, tmp_path, monkeypatch, key, base, value, a
         assert overridden != from_flags
 
 
+@pytest.mark.parametrize("argv", [
+    ["worldline", "--alpha", "2"],                          # worldline reads no alpha
+    ["rates", "--alpha", "1", "--mu", "-1"],
+    ["constants", "--accel", "1e26", "--tau-grid", "0:0:3"],
+    ["curve", "--alpha", "1", "--oracle"],
+    ["curve", "--alpha-grid", "1:1:1"],                     # curve runs at one --alpha
+], ids=" ".join)
+def test_unread_flag_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_one_config_serves_every_command(capsys, tmp_path):
+    # each command reads its own keys and leaves the others' alone
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("alpha_grid = 0.5:2:3\ntau_grid = 0:1:3\nprofile = zero\naccel = 1e26\n")
+    for command in ("rates", "curve", "surface", "worldline", "constants"):
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 0 and out, (command, err)
+
+
+def test_each_command_takes_only_its_settings():
+    from rindler_spin.cli import _COMMANDS, _build_parser
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    slots = 0
+    for name, sub in commands.items():
+        flags = {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+        own = {"--" + key.replace("_", "-") for key in _COMMANDS[name][2]}
+        assert flags == own | {"--format", "--out", "--config"}
+        slots += len(flags)
+    assert slots == 29
+
+
 def test_config_oracle_flag_wins(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("oracle = no\n")

@@ -162,6 +162,11 @@ def test_concurrence_real_requires_real_input():
     rng = np.random.default_rng(23)
     with pytest.raises(ValidationError):
         concurrence_real(random_density(rng))
+    # a nan imaginary part passes the realness check; validate refuses it
+    m = np.eye(4, dtype=complex) / 4.0
+    m[1, 2] = m[2, 1] = complex(0.0, math.nan)
+    with pytest.raises(ValidationError, match="non-finite"):
+        concurrence_real(DensityMatrix(m))
 
 
 def test_local_unitary_invariance():

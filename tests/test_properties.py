@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from rindler_spin import (CODATA, DomainError, accel_for_t0, concurrence_closed,
-                          disentanglement_time, rates_closed, rates_numeric,
-                          relaxation_times, t0_lab)
+from rindler_spin import (CODATA, AccelerationProfile, DomainError, accel_for_t0,
+                          acceleration_from_field, alpha_of, bell_state, concurrence_closed,
+                          disentanglement_time, energy_gap, evolve_analytic, rapidity,
+                          rates_closed, rates_numeric, relaxation_times, steady_state, t0_lab,
+                          thomas_omega, unruh_temperature, wightman_rindler)
 from rindler_spin.correlator import MIN_NUMERIC_ALPHA
 from rindler_spin.cli import main
 
@@ -85,9 +87,8 @@ def _exit_code(argv):
 
 #: command -> its arguments at one drawn alpha (a value in alpha's decades) and accel
 CLI_CASES = {
-    "rates": lambda a, accel: ["rates", f"--alpha={a!r}", "--tau-grid", "0:5:6"],
-    "rates --oracle": lambda a, accel: ["rates", "--oracle", f"--alpha={a!r}",
-                                        "--tau-grid", "0:5:6"],
+    "rates": lambda a, accel: ["rates", f"--alpha={a!r}"],
+    "rates --oracle": lambda a, accel: ["rates", "--oracle", f"--alpha={a!r}"],
     "curve": lambda a, accel: ["curve", f"--alpha={a!r}", "--tau-grid", "0:5:6"],
     "surface": lambda a, accel: ["surface", f"--alpha={a!r}", "--tau-grid", "0:5:6"],
     "constants": lambda a, accel: ["constants", f"--accel={accel!r}"],
@@ -111,3 +112,28 @@ def test_accel_for_t0_round_trip(t0):
     accel = accel_for_t0(t0, CODATA, CODATA.bohr_magneton)
     log_t0 = t0_lab(accel, CODATA, CODATA.bohr_magneton).log_t0
     assert abs(log_t0 - math.log(t0)) <= 1e-12 * max(1.0, abs(math.log(t0)))
+
+
+#: entry points whose domain guard a nan or a non-finite value used to slip past
+DOMAIN_HOLES = {
+    "concurrence_closed(1, nan)": lambda: concurrence_closed(1.0, math.nan),
+    "evolve_analytic(bell, rates, nan)": lambda: evolve_analytic(bell_state(), rates_closed(1.0),
+                                                                 math.nan),
+    "steady_state(bell, nan)": lambda: steady_state(bell_state(), math.nan),
+    "alpha_of(nan, 1)": lambda: alpha_of(math.nan, 1.0),
+    "alpha_of(1, nan)": lambda: alpha_of(1.0, math.nan),
+    "unruh_temperature(nan)": lambda: unruh_temperature(math.nan),
+    "energy_gap(nan, 1)": lambda: energy_gap(math.nan, 1.0),
+    "wightman_rindler(nan, 1, 1)": lambda: wightman_rindler(math.nan, 1.0, 1.0),
+    "acceleration_from_field(nan)": lambda: acceleration_from_field(math.nan),
+    "rapidity(constant, nan)": lambda: rapidity(AccelerationProfile.constant(1.0), math.nan),
+    "rapidity(constant, inf)": lambda: rapidity(AccelerationProfile.constant(1.0), math.inf),
+    "thomas_omega(2-vector)": lambda: thomas_omega((1.0, 0.0), (0.0, 0.0, 0.0)),
+    "thomas_omega(1e200)": lambda: thomas_omega((1e200, 0.0, 0.0), (0.0, 0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("call", list(DOMAIN_HOLES.values()), ids=list(DOMAIN_HOLES))
+def test_entry_points_refuse_nan_and_out_of_range(call):
+    with pytest.raises(DomainError):
+        call()

@@ -7,13 +7,12 @@ correlators and flip/dephasing rates, Lindblad evolution of the pair,
 concurrence decay, and the proper- and lab-frame disentanglement times.
 """
 
-from .params import (CODATA, OperatingPoint, PhysicalConstants, alpha_of,
-                     acceleration_from_field, energy_gap, gamma0,
-                     unruh_temperature)
-from .kinematics import (AccelerationProfile, WorldlineEvent, rapidity,
-                         rindler_event, rindler_residual, thomas_omega, worldline)
+from .params import (CODATA, PhysicalConstants, alpha_of, acceleration_from_field,
+                     energy_gap, gamma0, unruh_temperature)
+from .kinematics import (AccelerationProfile, WorldlineEvent, rindler_event,
+                         rindler_residual, worldline)
 from .correlator import (RateSet, bose_occupation, oracle_residual, rates_closed,
-                         rates_numeric, wightman_flat, wightman_rindler)
+                         rates_numeric, wightman_rindler)
 from .dynamics import (DensityMatrix, LindbladSpec, PauliCoefficients,
                        bell_state, bloch_norm, coeffs_from_density,
                        density_from_coefficients, evolve_analytic,
@@ -26,17 +25,17 @@ from .entanglement import (ConcurrenceCurve, LabDisentanglement, RelaxationTimes
                            tau0_inverse_cube)
 from .errors import (BlochBoundWarning, DomainError,
                      IntegrationInstabilityError, NumericError,
-                     RindlerSpinError, SingularityError, ValidationError)
+                     RindlerSpinError, ValidationError)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CODATA", "OperatingPoint", "PhysicalConstants", "alpha_of",
-    "acceleration_from_field", "energy_gap", "gamma0", "unruh_temperature",
-    "AccelerationProfile", "WorldlineEvent", "rapidity", "rindler_event",
-    "rindler_residual", "thomas_omega", "worldline",
+    "CODATA", "PhysicalConstants", "alpha_of", "acceleration_from_field",
+    "energy_gap", "gamma0", "unruh_temperature",
+    "AccelerationProfile", "WorldlineEvent", "rindler_event", "rindler_residual",
+    "worldline",
     "RateSet", "bose_occupation", "oracle_residual", "rates_closed", "rates_numeric",
-    "wightman_flat", "wightman_rindler",
+    "wightman_rindler",
     "DensityMatrix", "LindbladSpec", "PauliCoefficients", "bell_state",
     "bloch_norm", "coeffs_from_density", "density_from_coefficients",
     "evolve_analytic", "evolve_numeric", "steady_state",
@@ -46,6 +45,6 @@ __all__ = [
     "lab_exponent_constant", "relaxation_times", "t0_lab", "tau0_asymptotic",
     "tau0_inverse_cube",
     "BlochBoundWarning", "DomainError", "IntegrationInstabilityError",
-    "NumericError", "RindlerSpinError", "SingularityError", "ValidationError",
+    "NumericError", "RindlerSpinError", "ValidationError",
     "__version__",
 ]

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  (the bench tracer wraps it by this name)
 
-from .errors import DomainError, NumericError, SingularityError
+from .errors import DomainError, NumericError
 from .params import CODATA, PhysicalConstants
 
 #: refuse the trapezoid route below this alpha.  It holds about 3e-13 relative
@@ -59,31 +59,26 @@ class RateSet:
             raise DomainError("de-excitation may not be slower than excitation")
 
 
-def wightman_flat(interval_sq, constants=CODATA):
-    """Flat-space correlator (4 hbar c / pi) / interval_sq^2.
-
-    ``interval_sq`` is the (regulated, complex) squared spacetime interval
-    in cm^2; for a static path with time separation s and regulator eps it
-    is c^2 (s - i eps)^2.
-    """
-    w = complex(interval_sq)
-    if w == 0:
-        raise SingularityError("correlator evaluated at zero interval; regulate with i*eps")
-    return 4.0 * constants.hbar * constants.c / math.pi / (w * w)
-
-
 def wightman_rindler(accel, s, eps, constants=CODATA):
     """Correlator along the constant-acceleration path at separation s - i*eps.
 
     ``accel`` in cm/s^2 (positive), ``s`` and ``eps`` in seconds.
+    Domain: accel > 0 and s - i*eps != 0 where the value is a finite complex; else DomainError.
     """
     if not accel > 0:
         raise DomainError("wightman_rindler requires accel > 0")
     if s == 0 and eps == 0:
-        raise SingularityError("on-diagonal correlator needs a nonzero regulator")
+        raise DomainError("on-diagonal correlator needs a nonzero regulator")
     a, c, hbar = accel, constants.c, constants.hbar
-    arg = a * complex(s, -eps) / (2.0 * c)
-    return hbar * a**4 / (4.0 * math.pi * c**7) * cmath.sinh(arg) ** -4
+    try:  # a**4 or sinh overflows, or sinh**4 underflows to 0
+        arg = a * complex(s, -eps) / (2.0 * c)
+        value = hbar * a**4 / (4.0 * math.pi * c**7) * cmath.sinh(arg) ** -4
+    except (OverflowError, ZeroDivisionError):
+        value = complex(math.nan)
+    if not cmath.isfinite(value):  # also an inf or nan accel, s or eps
+        raise DomainError(f"wightman_rindler is not a finite complex at accel = {accel!r}, "
+                          f"s = {s!r}, eps = {eps!r}")
+    return value
 
 
 def bose_occupation(alpha):

@@ -13,10 +13,6 @@ class DomainError(RindlerSpinError, ValueError):
     """An argument lies outside the physical domain of an operation."""
 
 
-class SingularityError(DomainError):
-    """Unregulated evaluation at a correlator coincidence singularity."""
-
-
 class ValidationError(RindlerSpinError, ValueError):
     """A state object violates its structural invariants."""
 

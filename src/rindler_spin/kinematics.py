@@ -13,10 +13,7 @@ behind ``scipy.integrate.odeint``) and ``rindler_event`` gives the closed
 form that it is checked against, with ``rindler_residual`` the distance
 between the two.
 
-Only motion along z is supported.  ``thomas_omega`` is a standalone
-3-vector utility for the kinematic spin precession of non-collinear
-boosts; for the straight-line trajectories built here it vanishes
-identically.
+Only motion along z is supported.
 """
 
 from __future__ import annotations
@@ -27,13 +24,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint, quad
+from scipy.integrate import ODEintWarning, odeint
 from scipy.integrate import solve_ivp  # noqa: F401  (the bench tracer wraps it by this name)
 
 from .errors import DomainError, NumericError
-from .params import CODATA
+from .params import CODATA, finite
 
-_QUAD_TOL = 1e-12
 #: right-hand-side budget of one ``worldline`` integration; the documented
 #: grids need at most about 500, ``sinusoid:1,1000`` over 0..5 about 1.8e5
 MAX_RHS_EVALS = 300_000
@@ -46,20 +42,18 @@ class AccelerationProfile:
     """Rest-frame acceleration a(tau) in cm/s^2 as a function of proper time."""
 
     a_of_tau: Callable[[float], float]
-    description: str = ""
 
     @classmethod
     def constant(cls, accel):
-        return cls(lambda tau: accel, f"constant a={accel:g}")
+        return cls(lambda tau: accel)
 
     @classmethod
     def sinusoid(cls, a0, omega):
-        return cls(lambda tau: a0 * math.sin(omega * tau),
-                   f"sinusoid a0={a0:g} omega={omega:g}")
+        return cls(lambda tau: a0 * math.sin(omega * tau))
 
     @classmethod
     def zero(cls):
-        return cls(lambda tau: 0.0, "zero")
+        return cls(lambda tau: 0.0)
 
 
 @dataclass(frozen=True)
@@ -69,23 +63,6 @@ class WorldlineEvent:
     z: float          # cm
     rapidity: float   # dimensionless
     beta: float       # v/c = tanh(rapidity)
-
-
-def rapidity(profile: AccelerationProfile, tau, c=CODATA.c):
-    """Cumulative boost angle (1/c) * integral_0^tau a(u) du by adaptive quadrature.
-
-    ``tau`` must be finite and nonnegative.
-    """
-    if not 0 <= tau < math.inf:
-        raise DomainError("tau must be finite and nonnegative")
-    if tau == 0:
-        return 0.0
-    val, err = quad(lambda u: profile.a_of_tau(u) / c, 0.0, tau,
-                    epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=400)
-    if err > max(1e-9, 1e-8 * abs(val)):
-        raise NumericError(f"rapidity quadrature did not converge (residual {err:.3e})",
-                           residual=err)
-    return val
 
 
 def worldline(profile: AccelerationProfile, tau_grid: Sequence[float], c=CODATA.c):
@@ -172,25 +149,9 @@ def rindler_residual(event, accel, c=CODATA.c):
 
     The reference is ``rindler_event(accel, event.tau, c)``; the relative
     distances are floored at the hyperbola's scales, c/a for t and c^2/a for z.
+    Raises DomainError where the residual is not a finite float.
     """
     ref = rindler_event(accel, event.tau, c)
-    return max(abs(event.t - ref.t) / max(abs(ref.t), c / accel),
-               abs(event.z - ref.z) / max(abs(ref.z), c**2 / accel))
-
-
-def thomas_omega(beta, dbeta_dt):
-    """Thomas angular velocity (gamma^2/(gamma+1)) * (dbeta/dt x beta), rad/s.
-
-    ``beta`` is v/c (dimensionless 3-vector, |beta| < 1) and ``dbeta_dt``
-    its lab-time derivative in 1/s.  Collinear beta and dbeta/dt give the
-    zero vector.
-    """
-    b = np.asarray(beta, dtype=float)
-    db = np.asarray(dbeta_dt, dtype=float)
-    if b.shape != (3,) or db.shape != (3,):
-        raise DomainError("beta and dbeta_dt must be 3-vectors")
-    b2 = float(b @ b) if np.all(abs(b) < 1.0) else math.inf  # b @ b overflows at 1e200
-    if not b2 < 1.0:
-        raise DomainError("|beta| must be < 1")
-    gamma = 1.0 / math.sqrt(1.0 - b2)
-    return (gamma**2 / (gamma + 1.0)) * np.cross(db, b)
+    return finite(max(abs(event.t - ref.t) / max(abs(ref.t), c / accel),
+                      abs(event.z - ref.z) / max(abs(ref.z), c**2 / accel)),
+                  "the worldline residual")

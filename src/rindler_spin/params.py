@@ -47,61 +47,34 @@ class PhysicalConstants:
 CODATA = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    """One physical configuration: acceleration, gap, moment, and alpha.
-
-    The fields must be mutually consistent, alpha * c * gap == accel * hbar
-    to 1e-12 relative; use :meth:`from_physical` to build one safely.
-    """
-
-    alpha: float     # dimensionless
-    gap: float       # erg
-    mu: float        # erg/G
-    accel: float     # cm/s^2
-    constants: PhysicalConstants = CODATA
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise DomainError("alpha must be nonnegative")
-        if self.gap <= 0 or self.mu <= 0:
-            raise DomainError("gap and mu must be strictly positive")
-        lhs = self.alpha * self.constants.c * self.gap
-        rhs = self.accel * self.constants.hbar
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        if abs(lhs - rhs) > 1e-12 * scale:
-            raise DomainError(
-                "inconsistent operating point: alpha*c*gap != accel*hbar "
-                f"(relative mismatch {abs(lhs - rhs) / scale:.3e})")
-
-    @classmethod
-    def from_physical(cls, accel, gap, mu, constants=CODATA):
-        return cls(alpha=alpha_of(accel, gap, constants), gap=gap, mu=mu,
-                   accel=accel, constants=constants)
-
-    @property
-    def gamma0(self):
-        """Spontaneous flip rate in 1/s for this operating point."""
-        return gamma0(self.mu, self.gap, self.constants)
+def finite(value, name):
+    """``value``, or DomainError when it is not a finite float."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} is not a finite float ({value!r})")
+    return value
 
 
 def alpha_of(accel, gap, constants=CODATA):
     """Dimensionless acceleration alpha = a*hbar/(c*Delta).
 
-    ``accel`` in cm/s^2 (nonnegative), ``gap`` in erg (positive).
+    ``accel`` in cm/s^2 (nonnegative), ``gap`` in erg (positive); DomainError
+    where alpha is not a finite float.
     """
     if not gap > 0:
         raise DomainError("gap must be strictly positive")
     if not accel >= 0:
         raise DomainError("accel must be nonnegative")
-    return accel * constants.hbar / (constants.c * gap)
+    return finite(accel * constants.hbar / (constants.c * gap), "alpha")
 
 
 def energy_gap(mu, b_z):
-    """Zeeman gap Delta = 2*mu*B_z (erg) of a moment mu (erg/G) in B_z (G)."""
+    """Zeeman gap Delta = 2*mu*B_z (erg) of a moment mu (erg/G) in B_z (G).
+
+    DomainError unless mu and b_z are positive and the gap is a finite float.
+    """
     if not (mu > 0 and b_z > 0):
         raise DomainError("mu and b_z must be strictly positive")
-    return 2.0 * mu * b_z
+    return finite(2.0 * mu * b_z, "the energy gap")
 
 
 def acceleration_from_field(e_z, constants=CODATA):
@@ -111,10 +84,8 @@ def acceleration_from_field(e_z, constants=CODATA):
     ``e_z`` in statV/cm, result in cm/s^2.  Raises DomainError where the
     result is not a finite float (a nan or huge ``e_z``).
     """
-    accel = constants.electron_charge / constants.electron_mass * e_z
-    if not math.isfinite(accel):
-        raise DomainError(f"the acceleration at e_z = {e_z!r} statV/cm is not a finite float")
-    return accel
+    return finite(constants.electron_charge / constants.electron_mass * e_z,
+                   f"the acceleration at e_z = {e_z!r} statV/cm")
 
 
 def gamma0(mu, gap, constants=CODATA):
@@ -148,8 +119,10 @@ def gamma0(mu, gap, constants=CODATA):
 def unruh_temperature(accel, constants=CODATA):
     """Temperature hbar*a/(2*pi*c*k) of the thermal bath seen at acceleration a.
 
-    ``accel`` in cm/s^2 (nonnegative), result in K.
+    ``accel`` in cm/s^2 (nonnegative), result in K; DomainError where the
+    temperature is not a finite float.
     """
     if not accel >= 0:
         raise DomainError("accel must be nonnegative")
-    return constants.hbar * accel / (2.0 * math.pi * constants.c * constants.boltzmann)
+    return finite(constants.hbar * accel / (2.0 * math.pi * constants.c * constants.boltzmann),
+                   "the Unruh temperature")

@@ -4,46 +4,9 @@ import numpy as np
 import pytest
 
 from rindler_spin import (AccelerationProfile, CODATA, DomainError, NumericError,
-                          kinematics, rapidity, rindler_event, rindler_residual,
-                          thomas_omega, worldline)
+                          kinematics, rindler_event, rindler_residual, worldline)
 
 C = CODATA.c
-
-
-def test_rapidity_constant_profile():
-    a = 1e26
-    profile = AccelerationProfile.constant(a)
-    tau = 3.0 * C / a
-    assert rapidity(profile, tau) == pytest.approx(a * tau / C, rel=1e-12)
-
-
-def test_rapidity_zero_profile():
-    assert rapidity(AccelerationProfile.zero(), 10.0) == 0.0
-    assert rapidity(AccelerationProfile.constant(1e26), 0.0) == 0.0
-
-
-def test_rapidity_sinusoid_antiderivative():
-    # analytic oracle: r(tau) = (a0 / c omega) (1 - cos(omega tau))
-    a0, omega = 2e25, 3e24
-    profile = AccelerationProfile.sinusoid(a0, omega)
-    for tau in (1e-25, 5e-25, 2e-24):
-        expected = a0 / (C * omega) * (1.0 - math.cos(omega * tau))
-        assert rapidity(profile, tau) == pytest.approx(expected, rel=1e-10, abs=1e-18)
-
-
-def test_rapidity_additivity():
-    a0, omega = 1e25, 7e23
-    profile = AccelerationProfile.sinusoid(a0, omega)
-    tau1, tau2 = 8e-25, 1.1e-24
-    shifted = AccelerationProfile(lambda u: profile.a_of_tau(tau1 + u), "shifted")
-    total = rapidity(profile, tau1 + tau2)
-    assert rapidity(profile, tau1) + rapidity(shifted, tau2) == pytest.approx(
-        total, rel=1e-10)
-
-
-def test_rapidity_negative_tau():
-    with pytest.raises(DomainError):
-        rapidity(AccelerationProfile.zero(), -1.0)
 
 
 @pytest.mark.parametrize("accel", [1e26, C])  # cgs worldline and c/a = 1 s
@@ -196,35 +159,6 @@ def test_rindler_residual():
     off = kinematics.WorldlineEvent(tau=0.0, t=0.0, z=vertex.z * (1.0 + 1e-9),
                                     rapidity=0.0, beta=0.0)
     assert rindler_residual(off, 1e26) == pytest.approx(1e-9, rel=1e-6)
-
-
-def test_thomas_collinear_vanishes():
-    beta = np.array([0.0, 0.0, 0.7])
-    omega = thomas_omega(beta, 2.5 * beta)
-    assert np.allclose(omega, 0.0, atol=1e-15)
-
-
-def test_thomas_zero_velocity():
-    assert np.allclose(thomas_omega([0, 0, 0], [0.1, 0.2, 0.3]), 0.0)
-
-
-def test_thomas_hand_value():
-    # gamma = 1.25, gamma^2/(gamma+1) = 25/36, cross = (0, 0, -0.06)
-    omega = thomas_omega([0.6, 0.0, 0.0], [0.0, 0.1, 0.0])
-    assert omega == pytest.approx([0.0, 0.0, -(25.0 / 36.0) * 0.06], rel=1e-13)
-
-
-def test_thomas_scalar_multiple_annihilates():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        beta = rng.uniform(-0.5, 0.5, 3)
-        lam = rng.uniform(-3, 3)
-        assert np.allclose(thomas_omega(beta, lam * beta), 0.0, atol=1e-14)
-
-
-def test_thomas_domain():
-    with pytest.raises(DomainError):
-        thomas_omega([1.0, 0.0, 0.0], [0.0, 0.1, 0.0])
 
 
 def test_worldline_beta_consistency():

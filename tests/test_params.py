@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rindler_spin import (CODATA, DomainError, OperatingPoint, alpha_of,
+from rindler_spin import (CODATA, DomainError, alpha_of,
                           acceleration_from_field, energy_gap, gamma0,
                           unruh_temperature)
 
@@ -118,22 +118,6 @@ def test_unruh_temperature_zero_and_linear():
 def test_unruh_temperature_one_kelvin():
     assert unruh_temperature(2.47e22) == pytest.approx(UNRUH_247, rel=1e-12)
     assert unruh_temperature(ACCEL_1K) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_operating_point_consistency():
-    gap = GAP_1G
-    point = OperatingPoint.from_physical(1e26, gap, CODATA.bohr_magneton)
-    assert point.alpha == pytest.approx(ALPHA_1E26, rel=1e-13)
-    assert point.gamma0 == pytest.approx(GAMMA0_1G, rel=1e-12)
-    with pytest.raises(DomainError):
-        OperatingPoint(alpha=1.0, gap=gap, mu=CODATA.bohr_magneton, accel=1e26)
-
-
-def test_operating_point_domain():
-    with pytest.raises(DomainError):
-        OperatingPoint(alpha=-1.0, gap=GAP_1G, mu=CODATA.bohr_magneton, accel=0.0)
-    with pytest.raises(DomainError):
-        OperatingPoint.from_physical(1e26, -GAP_1G, CODATA.bohr_magneton)
 
 
 def test_unruh_temperature_domain():

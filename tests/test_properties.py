@@ -1,17 +1,24 @@
-"""Property tests of the closed forms, the rate oracle and the CLI contract over decades of alpha and tau."""
+"""Property tests of the closed forms, the rate oracle and the library and CLI contracts over decades of alpha and tau."""
+import cmath
 import contextlib
+import dataclasses
 import io
 import math
+from typing import NamedTuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
-from rindler_spin import (CODATA, AccelerationProfile, DomainError, accel_for_t0,
-                          acceleration_from_field, alpha_of, bell_state, concurrence_closed,
-                          disentanglement_time, energy_gap, evolve_analytic, rapidity,
-                          rates_closed, rates_numeric, relaxation_times, steady_state, t0_lab,
-                          thomas_omega, unruh_temperature, wightman_rindler)
+import rindler_spin
+from rindler_spin import (CODATA, DomainError, RindlerSpinError, accel_for_t0,
+                          acceleration_from_field, alpha_of, bell_state, bose_occupation,
+                          concurrence_closed, disentanglement_time, energy_gap,
+                          evolve_analytic, gamma0, lab_exponent_constant, rates_closed,
+                          rates_numeric, relaxation_times, rindler_event, rindler_residual,
+                          steady_state, t0_lab, tau0_asymptotic, tau0_inverse_cube,
+                          unruh_temperature, wightman_rindler)
 from rindler_spin.correlator import MIN_NUMERIC_ALPHA
 from rindler_spin.cli import main
 
@@ -126,10 +133,21 @@ DOMAIN_HOLES = {
     "energy_gap(nan, 1)": lambda: energy_gap(math.nan, 1.0),
     "wightman_rindler(nan, 1, 1)": lambda: wightman_rindler(math.nan, 1.0, 1.0),
     "acceleration_from_field(nan)": lambda: acceleration_from_field(math.nan),
-    "rapidity(constant, nan)": lambda: rapidity(AccelerationProfile.constant(1.0), math.nan),
-    "rapidity(constant, inf)": lambda: rapidity(AccelerationProfile.constant(1.0), math.inf),
-    "thomas_omega(2-vector)": lambda: thomas_omega((1.0, 0.0), (0.0, 0.0, 0.0)),
-    "thomas_omega(1e200)": lambda: thomas_omega((1e200, 0.0, 0.0), (0.0, 0.0, 1.0)),
+    "wightman_rindler(1e-100, 1, 1)": lambda: wightman_rindler(1e-100, 1.0, 1.0),
+    "wightman_rindler(1e30, 1, 1)": lambda: wightman_rindler(1e30, 1.0, 1.0),
+    "wightman_rindler(1, 1e30, 1)": lambda: wightman_rindler(1.0, 1e30, 1.0),
+    "wightman_rindler(inf, 1, 1)": lambda: wightman_rindler(math.inf, 1.0, 1.0),
+    "wightman_rindler(1, inf, 1)": lambda: wightman_rindler(1.0, math.inf, 1.0),
+    "wightman_rindler(1, nan, 1)": lambda: wightman_rindler(1.0, math.nan, 1.0),
+    "wightman_rindler(1, 1, inf)": lambda: wightman_rindler(1.0, 1.0, math.inf),
+    "wightman_rindler(1, 1, nan)": lambda: wightman_rindler(1.0, 1.0, math.nan),
+    "alpha_of(inf, 1)": lambda: alpha_of(math.inf, 1.0),
+    "alpha_of(1e26, 5e-324)": lambda: alpha_of(1e26, 5e-324),
+    "energy_gap(1.7e308, 1)": lambda: energy_gap(1.7e308, 1.0),
+    "energy_gap(1, inf)": lambda: energy_gap(1.0, math.inf),
+    "unruh_temperature(inf)": lambda: unruh_temperature(math.inf),
+    "rindler_residual(event at 1e-100, 1e300)": lambda: rindler_residual(
+        rindler_event(1e-100, 0.0), 1e300),
 }
 
 
@@ -137,3 +155,81 @@ DOMAIN_HOLES = {
 def test_entry_points_refuse_nan_and_out_of_range(call):
     with pytest.raises(DomainError):
         call()
+
+
+class Draw(NamedTuple):
+    """One drawn value per kind of argument the scalar exports take."""
+
+    alpha: float
+    tau: float    # gamma0^-1 units
+    accel: float  # cm/s^2
+    mu: float     # erg/G
+    gap: float    # erg
+    field: float  # G for a Zeeman field, statV/cm for an electric one
+    s: float      # s, a proper-time separation
+    eps: float    # s, its regulator
+    t0: float     # s, a lab-frame time
+
+
+draws = st.builds(
+    Draw, alpha=_decades(-320, 308, (1e-2, 1e3)), tau=_decades(-320, 308, (1e-3, 1e3)),
+    accel=_decades(-320, 308, (1e20, 1e35)), mu=_decades(-320, 308, (1e-21, 1e-19)),
+    gap=_decades(-320, 308, (1e-21, 1e-17)), field=_decades(-320, 308, (1e-3, 1e8)),
+    s=_decades(-320, 308, (1e-20, 1e-10)), eps=_decades(-320, 308, (1e-20, 1e-10)),
+    t0=_decades(-320, 308, (1e-3, 1e300)))
+
+#: scalar export -> its call at one draw
+SCALAR_CASES = {
+    "alpha_of": lambda v: alpha_of(v.accel, v.gap),
+    "energy_gap": lambda v: energy_gap(v.mu, v.field),
+    "gamma0": lambda v: gamma0(v.mu, v.gap),
+    "unruh_temperature": lambda v: unruh_temperature(v.accel),
+    "acceleration_from_field": lambda v: acceleration_from_field(v.field),
+    "rindler_event": lambda v: rindler_event(v.accel, v.tau),
+    "rindler_residual": lambda v: rindler_residual(rindler_event(v.alpha, v.tau), v.accel),
+    "wightman_rindler": lambda v: wightman_rindler(v.accel, v.s, v.eps),
+    "bose_occupation": lambda v: bose_occupation(v.alpha),
+    "rates_closed": lambda v: rates_closed(v.alpha),
+    "rates_numeric": lambda v: rates_numeric(v.alpha),
+    "relaxation_times": lambda v: relaxation_times(v.alpha),
+    "concurrence_closed": lambda v: concurrence_closed(v.alpha, v.tau),
+    "disentanglement_time": lambda v: disentanglement_time(v.alpha),
+    "evolve_analytic": lambda v: evolve_analytic(bell_state(), rates_closed(v.alpha), v.tau),
+    "steady_state": lambda v: steady_state(bell_state(), v.alpha),
+    "lab_exponent_constant": lambda v: lab_exponent_constant(CODATA, v.mu),
+    "accel_for_t0": lambda v: accel_for_t0(v.t0, CODATA, v.mu),
+    "t0_lab": lambda v: t0_lab(v.accel, CODATA, v.mu),
+    "tau0_asymptotic": lambda v: tau0_asymptotic(v.accel, CODATA, v.mu),
+    "tau0_inverse_cube": lambda v: tau0_inverse_cube(v.alpha),
+}
+#: documented saturations: these may return inf or 0 where the value leaves the float range
+SATURATING = {"t0_lab", "tau0_asymptotic", "tau0_inverse_cube"}
+
+
+def _numbers(result):
+    """Every number a result carries, through dataclasses, tuples and arrays; None carries none."""
+    if dataclasses.is_dataclass(result):
+        return [x for f in dataclasses.fields(result) for x in _numbers(getattr(result, f.name))]
+    if isinstance(result, (tuple, np.ndarray)):
+        return [x for item in result for x in _numbers(item)]
+    return [] if result is None else [result]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(export=st.sampled_from(sorted(SCALAR_CASES)), v=draws)
+def test_scalar_exports_return_finite_values_or_refuse(export, v):
+    try:
+        numbers = _numbers(SCALAR_CASES[export](v))
+    except RindlerSpinError:
+        return
+    assert numbers
+    if export in SATURATING:
+        assert not any(cmath.isnan(x) for x in numbers), numbers
+    else:
+        assert all(cmath.isfinite(x) for x in numbers), numbers
+
+
+def test_public_surface_resolves():
+    names = rindler_spin.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(rindler_spin, name)] == []

@@ -88,10 +88,10 @@ def _wootters_lambdas(rho: DensityMatrix):
     Factor rho = Phi Phi^dagger through its Hermitian eigendecomposition;
     the lambdas are then the singular values of the complex symmetric
     matrix W = Phi^T (sy x sy) Phi, taken from one SVD of W.  This keeps
-    small lambdas accurate where the quartic of the squared product would
-    drown them in roundoff.  The eigendecomposition is the state's own
-    (``DensityMatrix.eigh``), shared with its positivity check; eigenvalues
-    that check lets through below zero count as zero.
+    small lambdas accurate where the characteristic polynomial of that
+    product would drown them in roundoff.  The eigendecomposition is the
+    state's own (``DensityMatrix.eigh``), shared with its positivity check;
+    eigenvalues that check lets through below zero count as zero.
     """
     w, v = rho.eigh
     phi = v * np.sqrt(np.maximum(w, 0.0))
@@ -114,13 +114,14 @@ def concurrence_real(rho: DensityMatrix) -> float:
 
     Requires every entry real to 1e-12.  The lambdas are the absolute
     eigenvalues of the single (non-symmetric) product rho (sy x sy),
-    computed here from its characteristic quartic with Newton polishing.
-    An imaginary eigenvalue residual above 1e-8 signals an invalid state.
-    The quartic, its polish and the checks and sort of the four roots run
-    on Python scalars, which per state cost less than numpy's.  Below
-    alpha of about 0.3 the quartic loses accuracy and raises, where
-    LAPACK's non-symmetric ``eigvals`` of the same product would not; it
-    stays while the benchmark's self-test pins that failure at alpha 0.1.
+    computed here as the companion-matrix roots of its characteristic
+    polynomial (``characteristic_roots``).  An imaginary eigenvalue
+    residual above 1e-8 signals an invalid state.  Below alpha of about
+    0.4 the polynomial's coefficients lose the small roots of evolved Bell
+    states: the route misses the closed form by more than 1e-8, and below
+    about 0.3 it raises.  LAPACK's non-symmetric ``eigvals`` of the same
+    product would not; it stays unused while the benchmark's self-test
+    pins that failure at alpha 0.1.
     """
     if abs(rho.m.imag).max() >= 1e-12:  # a nan passes here; validate refuses it
         raise ValidationError("concurrence_real requires a real density matrix")
@@ -273,8 +274,10 @@ def lab_exponent_constant(constants, mu) -> float:
     Returned in cm^2/s^4; dividing by a^2 gives the dimensionless exponent
     of t0.  For the electron (mu = Bohr magneton) this is the constant the
     log of the disentanglement time is controlled by, about 3.8e61 m^2/s^4.
-    Raises DomainError where mu^2 or the constant is not a positive finite float.
+    Raises DomainError unless mu > 0 and mu^2 and the constant are positive finite floats.
     """
+    if not mu > 0:
+        raise DomainError(f"the lab-frame exponent constant requires mu > 0 (mu = {mu!r} erg/G)")
     try:
         value = 3.0 * math.pi * math.log(3.0) / 8.0 * constants.hbar * constants.c**5 / mu**2
     except (OverflowError, ZeroDivisionError):  # mu**2 overflows or underflows to 0

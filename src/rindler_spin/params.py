@@ -58,13 +58,19 @@ def alpha_of(accel, gap, constants=CODATA):
     """Dimensionless acceleration alpha = a*hbar/(c*Delta).
 
     ``accel`` in cm/s^2 (nonnegative), ``gap`` in erg (positive); DomainError
-    where alpha is not a finite float.
+    where alpha is not a finite float, or is positive but below the float range.
     """
     if not gap > 0:
         raise DomainError("gap must be strictly positive")
     if not accel >= 0:
         raise DomainError("accel must be nonnegative")
-    return finite(accel * constants.hbar / (constants.c * gap), "alpha")
+    alpha = accel * constants.hbar / (constants.c * gap)
+    if alpha == 0 and accel > 0:  # a*hbar underflowed or c*Delta overflowed: scale both out
+        (a, a_exp), (g, g_exp) = math.frexp(accel), math.frexp(gap)
+        alpha = math.ldexp(a * constants.hbar / (constants.c * g), a_exp - g_exp)
+        if alpha == 0:
+            raise DomainError(f"alpha underflows at accel = {accel!r} cm/s^2, gap = {gap!r} erg")
+    return finite(alpha, "alpha")
 
 
 def energy_gap(mu, b_z):

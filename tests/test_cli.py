@@ -200,6 +200,13 @@ def test_constants_requires_accel(capsys):
     assert "--accel" in err
 
 
+def test_constants_accel_whose_alpha_underflows(capsys):
+    code, out, err = run_cli(capsys, "constants", "--accel", "1e-320")
+    assert (code, out) == (2, "")
+    assert err == ("error: alpha underflows at accel = 1e-320 cm/s^2, "
+                   "gap = 1.85480201566e-20 erg\n")
+
+
 def test_json_format(capsys):
     code, out, _ = run_cli(capsys, "rates", "--alpha", "1", "--format", "json")
     assert code == 0

@@ -140,9 +140,17 @@ def test_concurrence_real_matches_general_route():
         assert concurrence_real(rho) == pytest.approx(concurrence(rho), abs=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0, 10.0])
+def test_concurrence_real_evolved_bell_vs_closed(alpha):
+    # the cross-check bound, on the curve's default grid across the acceptance range
+    rates = rates_closed(alpha)
+    for tau in np.linspace(0.0, 5.0, 120):
+        rho = density_from_coefficients(evolve_analytic(bell_state(), rates, tau))
+        assert concurrence_real(rho) == pytest.approx(concurrence_closed(alpha, tau), abs=1e-8)
+
+
 def test_concurrence_real_double_root():
-    # rho (sy x sy) has two double roots here; a Newton step from one
-    # overflowed p(z) to nan, and the nan root was kept
+    # rho (sy x sy) has two double roots here, the hard case for a polynomial route
     alpha, tau = 6.393839029309495, float(np.linspace(0.0, 5.0, 120)[108])
     rho = density_from_coefficients(evolve_analytic(bell_state(), rates_closed(alpha), tau))
     roots = characteristic_roots(rho.m.real @ PAULI2[2, 2].real)

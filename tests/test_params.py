@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,18 @@ def test_alpha_domain_errors():
         alpha_of(1e20, 0.0)
     with pytest.raises(DomainError):
         alpha_of(-1.0, GAP_1G)
+
+
+def test_alpha_where_a_product_leaves_the_float_range():
+    # a*hbar underflows (a = 1e-300) or c*Delta overflows (Delta = 1e300), alpha does not
+    exact = Fraction(1e-300) * Fraction(CODATA.hbar) / (Fraction(CODATA.c) * Fraction(GAP_1G))
+    assert abs(alpha_of(1e-300, GAP_1G) - float(exact)) <= 5e-324
+    assert alpha_of(1e300, 1e300) == pytest.approx(CODATA.hbar / CODATA.c, rel=1e-15)
+    # where the plain expression is nonzero it is kept bit for bit
+    assert alpha_of(1e26, GAP_1G) == 1e26 * CODATA.hbar / (CODATA.c * GAP_1G)
+    for accel, gap in ((1e-320, GAP_1G), (5e-324, 1.0), (1e-300, 1e300)):
+        with pytest.raises(DomainError, match="alpha underflows"):
+            alpha_of(accel, gap)
 
 
 def test_alpha_roundtrip_grid():

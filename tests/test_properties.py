@@ -23,6 +23,7 @@ from rindler_spin.correlator import MIN_NUMERIC_ALPHA
 from rindler_spin.cli import main
 
 ULPS = 4.0 * 2.0**-52
+MU_B = CODATA.bohr_magneton
 CLI_EXIT_CODES = {0, 2, 3, 4}
 
 # alpha log-uniform on [1e-6, 1e6]
@@ -148,6 +149,10 @@ DOMAIN_HOLES = {
     "unruh_temperature(inf)": lambda: unruh_temperature(math.inf),
     "rindler_residual(event at 1e-100, 1e300)": lambda: rindler_residual(
         rindler_event(1e-100, 0.0), 1e300),
+    "lab_exponent_constant(-1e-20)": lambda: lab_exponent_constant(CODATA, -1e-20),
+    "tau0_asymptotic(1e26, -mu_B)": lambda: tau0_asymptotic(1e26, CODATA, -MU_B),
+    "t0_lab(1e26, -mu_B)": lambda: t0_lab(1e26, CODATA, -MU_B),
+    "accel_for_t0(3.15e7, -mu_B)": lambda: accel_for_t0(3.15e7, CODATA, -MU_B),
 }
 
 

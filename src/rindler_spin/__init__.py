@@ -17,12 +17,11 @@ from .dynamics import (DensityMatrix, LindbladSpec, PauliCoefficients,
                        bell_state, bloch_norm, coeffs_from_density,
                        density_from_coefficients, evolve_analytic,
                        evolve_numeric, steady_state)
-from .entanglement import (ConcurrenceCurve, LabDisentanglement, RelaxationTimes,
-                           accel_for_t0, concurrence, concurrence_closed,
-                           concurrence_curve, concurrence_numeric, concurrence_real,
-                           disentanglement_time, lab_exponent_constant,
-                           relaxation_times, t0_lab, tau0_asymptotic,
-                           tau0_inverse_cube)
+from .entanglement import (LabDisentanglement, RelaxationTimes, accel_for_t0,
+                           concurrence, concurrence_closed, concurrence_numeric,
+                           concurrence_real, disentanglement_time,
+                           lab_exponent_constant, relaxation_times, t0_lab,
+                           tau0_asymptotic, tau0_inverse_cube)
 from .errors import (BlochBoundWarning, DomainError,
                      IntegrationInstabilityError, NumericError,
                      RindlerSpinError, ValidationError)
@@ -39,8 +38,8 @@ __all__ = [
     "DensityMatrix", "LindbladSpec", "PauliCoefficients", "bell_state",
     "bloch_norm", "coeffs_from_density", "density_from_coefficients",
     "evolve_analytic", "evolve_numeric", "steady_state",
-    "ConcurrenceCurve", "LabDisentanglement", "RelaxationTimes",
-    "accel_for_t0", "concurrence", "concurrence_closed", "concurrence_curve",
+    "LabDisentanglement", "RelaxationTimes",
+    "accel_for_t0", "concurrence", "concurrence_closed",
     "concurrence_numeric", "concurrence_real", "disentanglement_time",
     "lab_exponent_constant", "relaxation_times", "t0_lab", "tau0_asymptotic",
     "tau0_inverse_cube",

@@ -36,7 +36,7 @@ import sys
 import numpy as np
 
 from .correlator import MIN_NUMERIC_ALPHA, oracle_residual, rates_closed, rates_numeric
-from .entanglement import (accel_for_t0, concurrence_curve, concurrence_numeric,
+from .entanglement import (accel_for_t0, concurrence_closed, concurrence_numeric,
                            disentanglement_time, lab_exponent_constant,
                            relaxation_times, t0_lab, tau0_asymptotic,
                            tau0_inverse_cube)
@@ -146,6 +146,8 @@ _SETTINGS = {
 }
 #: the settings every command reads, with their defaults
 _SHARED = {"format": "csv", "out": None}
+#: pairs of settings a command refuses together, from flags or the config file
+_EXCLUSIVE = (("alpha", "alpha_grid"), ("accel", "target_t0"))
 
 
 def _resolve_config(args):
@@ -162,8 +164,10 @@ def _resolve_config(args):
                 setattr(args, key, _SETTINGS[key][0](cfg[key]))
             except (TypeError, ValueError) as exc:
                 raise _ArgumentError(f"config key {key}: {exc}") from exc
-    if getattr(args, "alpha_grid", None) is not None and args.alpha is not None:
-        raise _ArgumentError("give either --alpha or --alpha-grid, not both")
+    for one, other in _EXCLUSIVE:
+        if getattr(args, one, None) is not None and getattr(args, other, None) is not None:
+            raise _ArgumentError(f"give either --{one.replace('_', '-')} or "
+                                 f"--{other.replace('_', '-')}, not both")
     for key, default in defaults.items():
         if getattr(args, key) is None:
             setattr(args, key, default)
@@ -264,20 +268,21 @@ def cmd_rates(config):
 
 
 def cmd_curve(config):
-    curve = concurrence_curve(config.alpha, config.tau_grid)
-    numeric = concurrence_numeric(config.alpha, config.tau_grid)
-    rows = [[tau, c, c_numeric, None]
-            for (tau, c), c_numeric in zip(curve.samples, numeric)]
-    rows[-1][-1] = curve.tau0
+    alpha, taus = config.alpha, config.tau_grid
+    closed = [concurrence_closed(alpha, float(tau)) for tau in taus]
+    tau0 = disentanglement_time(alpha)
+    numeric = concurrence_numeric(alpha, taus)
+    rows = [[tau, c, c_numeric, None] for tau, c, c_numeric in zip(taus, closed, numeric)]
+    rows[-1][-1] = tau0
     _emit(config, ["tau", "c_closed", "c_numeric", "tau0"], rows)
 
 
 def cmd_surface(config):
     rows, zero_rows = [], []
     for a in config.alpha_grid:
-        curve = concurrence_curve(float(a), config.tau_grid)
-        rows += [[a, tau, c] for tau, c in curve.samples]
-        zero_rows.append([a, curve.tau0, tau0_inverse_cube(float(a))])
+        alpha = float(a)
+        rows += [[a, tau, concurrence_closed(alpha, float(tau))] for tau in config.tau_grid]
+        zero_rows.append([a, disentanglement_time(alpha), tau0_inverse_cube(alpha)])
     _emit(config, ["alpha", "tau", "c"], rows,
           extra_tables={"tau0": (["alpha", "tau0", "tau0_asymptotic"], zero_rows)})
 

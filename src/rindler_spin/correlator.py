@@ -163,7 +163,10 @@ def rates_numeric(alpha):
     if alpha < MIN_NUMERIC_ALPHA:
         raise DomainError(f"rates_numeric supports alpha >= {MIN_NUMERIC_ALPHA} only; "
                           "use rates_closed below that")
-    prefactor = 3.0 * alpha_cubed(alpha) / (16.0 * math.pi)
+    cube = alpha_cubed(alpha)
+    prefactor = 3.0 * cube / (16.0 * math.pi)
+    if prefactor == math.inf:  # 3 alpha^3 overflows above alpha of about 3.9e102
+        prefactor = 3.0 / (16.0 * math.pi) * cube
     flip, flip_rel = _shifted_fourier(1.0 / alpha)
     still, still_rel = _shifted_fourier(0.0)
     worst = max(flip_rel, still_rel)

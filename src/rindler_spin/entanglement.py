@@ -19,7 +19,7 @@ sech(pi/alpha)/2; at large alpha it collapses onto pi*ln(3)/alpha^3
 (gamma0 units), i.e. an inverse-cube law in the acceleration, and the
 lab-frame time t0 = (c/2a) exp[(3 pi ln3 / 8) hbar c^5 / (mu^2 a^2)] is
 exponentially longer; ``accel_for_t0`` inverts ``t0_lab`` in closed form.
-``concurrence_numeric`` recomputes ``concurrence_curve`` through the
+``concurrence_numeric`` recomputes ``concurrence_closed`` through the
 master equation (``dynamics.evolve_numeric``).
 """
 
@@ -29,7 +29,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,15 +60,6 @@ class RelaxationTimes:
     @property
     def gamma2(self):
         return 1.0 / self.t2
-
-
-@dataclass(frozen=True)
-class ConcurrenceCurve:
-    """Sampled concurrence decay at fixed alpha, with the zero crossing."""
-
-    alpha: float
-    samples: tuple      # ((tau, c), ...) in gamma0^-1 units
-    tau0: Optional[float] = None
 
 
 class LabDisentanglement(NamedTuple):
@@ -190,43 +181,37 @@ def disentanglement_time(alpha) -> float:
     """Proper time tau0 (gamma0^-1 units) at which the Bell pair's concurrence hits zero.
 
     The crossing function is strictly decreasing from f(0) = 1, so the
-    positive root is unique; found by bracket expansion plus bisection to
-    1e-12 relative.  The bracket doubles until it holds the root, which
-    lies near 2 pi/alpha for small alpha.  Below alpha of about 3.5e-308
-    that root is beyond the float range, and DomainError says so.
+    positive root is unique.  It lies in one fixed bracket: f(T2/2) >=
+    ln 2 - 1/2 > 0 at every alpha, and f is nonpositive at the largest float
+    exactly when the root (near 2 pi/alpha for small alpha) is a finite
+    float, that is for 2 pi/alpha up to the largest float, alpha above
+    about 3.5e-308; below that DomainError says so.  The bracket spans
+    hundreds of decades, so bisection splits it at the geometric midpoint,
+    to 1e-12 relative.
     """
     if alpha <= 0:
         raise DomainError("disentanglement_time requires alpha > 0")
-    f, times = _crossing_function(alpha)
-    lo, hi = 0.0, 10.0 * math.log(3.0) * times.t2
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if math.isinf(hi):
-            raise DomainError(
-                f"alpha = {alpha:g} is out of range: tau0 (about 2 pi/alpha) is not a "
-                "finite float below alpha of about 3.5e-308")
+    f, times = _crossing_function(float(alpha))  # numpy would warn where f(hi) overflows to -inf
+    lo, hi = 0.5 * times.t2, sys.float_info.max
+    if not f(hi) <= 0.0:  # f is inf once pi/alpha overflows
+        raise DomainError(
+            f"alpha = {alpha:g} is out of range: tau0 (about 2 pi/alpha) is not a "
+            "finite float below alpha of about 3.5e-308")
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = math.sqrt(lo) * math.sqrt(hi)
         if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-12 * hi:
             break
-    return 0.5 * (lo + hi)
-
-
-def concurrence_curve(alpha, tau_grid: Sequence[float]) -> ConcurrenceCurve:
-    """Closed-form concurrence samples at fixed alpha with tau0 attached."""
-    samples = tuple((t, concurrence_closed(alpha, t)) for t in map(float, tau_grid))
-    return ConcurrenceCurve(alpha=alpha, samples=samples,
-                            tau0=disentanglement_time(alpha))
+    return 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) overflows near the largest float
 
 
 def concurrence_numeric(alpha, taus: Sequence[float]) -> list:
     """Master-equation concurrence of the Bell pair at each tau of a nondecreasing grid.
 
-    The route independent of ``concurrence_curve``: ``evolve_numeric``, at
+    The route independent of ``concurrence_closed``: ``evolve_numeric``, at
     the default step of ``LindbladSpec``, carries the state from one grid
     point to the next, and ``concurrence`` reads each state.
     """

@@ -391,7 +391,7 @@ def test_numeric_error_exit_code(capsys):
     (["curve", "--alpha", "0.001"], 0),                    # cosh(pi/alpha) overflowed
     (["surface", "--alpha-grid", "0.001:0.01:3"], 0),
     (["rates", "--alpha", "1e200"], 2),                    # alpha^3 overflows
-    (["surface", "--alpha-grid", "1e-120:1e-100:2"], 0),   # tau0 past 200 doublings
+    (["surface", "--alpha-grid", "1e-120:1e-100:2"], 0),   # tau0 hundreds of decades above T2
     (["constants", "--accel", "1e-200"], 0),
     (["constants", "--accel", "1.7e308"], 2),              # 2 accel overflowed in t0_lab
     (["constants", "--accel", "inf"], 2),
@@ -406,10 +406,31 @@ def test_numeric_error_exit_code(capsys):
     (["constants", "--mu", "nan", "--accel", "1e26"], 2),
     (["constants", "--accel", "1e26", "--mu", "1e200"], 2),  # mu**2 overflowed in gamma0
     (["constants", "--accel", "1e26", "--gap", "1e200"], 2),  # gap**3 overflowed
+    (["curve", "--alpha", "4e-308", "--tau-grid", "0:1:2"], 0),  # tau0 ~ 2 pi/alpha is a float
 ])
 def test_extreme_alpha_exit_codes(capsys, argv, expected):
     code, _, _ = run_cli(capsys, *argv)
     assert code == expected
+
+
+def test_curve_tau0_near_the_largest_float(capsys):
+    code, out, _ = run_cli(capsys, "curve", "--alpha", "7e-308", "--tau-grid", "0:1:2")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[-1][-1] == pytest.approx(2.0 * math.pi / 7e-308, rel=1e-8)
+
+
+def test_constants_refuses_accel_with_target_t0(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "constants", "--accel", "1e26", "--target-t0", "1")
+    assert code == 2
+    assert "--accel" in err and "--target-t0" in err
+    cfg = tmp_path / "t0.cfg"
+    for line, flags in (("target_t0 = 1", ["--accel", "1e26"]),
+                        ("accel = 1e26", ["--target-t0", "1"])):
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli(capsys, "constants", *flags, "--config", str(cfg))
+        assert code == 2
+        assert "not both" in err
 
 
 def test_extreme_exit_code_in_a_subprocess():

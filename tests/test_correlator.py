@@ -154,7 +154,7 @@ def test_rates_monotone_in_alpha():
         assert hi.g_z > lo.g_z
 
 
-@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 4e102, 5.6e102])  # 3 alpha^3 overflows past 3.9e102
 def test_rates_numeric_matches_closed(alpha):
     closed = rates_closed(alpha)
     num = rates_numeric(alpha)

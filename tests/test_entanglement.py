@@ -7,7 +7,7 @@ import pytest
 from rindler_spin import (CODATA, DensityMatrix, DomainError, NumericError,
                           ValidationError, accel_for_t0,
                           bell_state, concurrence, concurrence_closed,
-                          concurrence_curve, concurrence_numeric, concurrence_real,
+                          concurrence_numeric, concurrence_real,
                           density_from_coefficients, disentanglement_time,
                           evolve_analytic, gamma0, lab_exponent_constant,
                           rates_closed, relaxation_times, steady_state,
@@ -282,8 +282,8 @@ def test_disentanglement_time_small_alpha():
                 - math.log(-math.expm1(-tau0 * times.gamma1)))
     assert abs(residual) < 1e-8
     assert tau0 == pytest.approx(2.0 * math.pi / alpha, rel=1e-5)
-    # the bracket keeps doubling (past 600 times) until it holds the root
-    for alpha in (1e-120, 1e-300):
+    # roots hundreds of decades above T2, up to near the largest float
+    for alpha in (1e-120, 1e-300, 4e-308, 7e-308, 1e-307):
         assert disentanglement_time(alpha) == pytest.approx(2.0 * math.pi / alpha, rel=1e-9)
     for alpha in (3e-308, 1e-309, 5e-324):  # the root ~2 pi/alpha is not a float
         with pytest.raises(DomainError, match="3.5e-308"):
@@ -291,14 +291,14 @@ def test_disentanglement_time_small_alpha():
 
 
 def test_concurrence_curve_structure():
-    curve = concurrence_curve(1.0, np.linspace(0.0, 4.0, 30))
-    taus = [s[0] for s in curve.samples]
-    values = [s[1] for s in curve.samples]
+    taus = np.linspace(0.0, 4.0, 30)
+    values = [concurrence_closed(1.0, float(tau)) for tau in taus]
+    tau0 = disentanglement_time(1.0)
     assert values[0] == 1.0
     assert all(a >= b for a, b in zip(values, values[1:]))
-    assert curve.tau0 == pytest.approx(TAU0_A1, rel=1e-10)
-    for tau, c in curve.samples:
-        if tau >= curve.tau0:
+    assert tau0 == pytest.approx(TAU0_A1, rel=1e-10)
+    for tau, c in zip(taus, values):
+        if tau >= tau0:
             assert c == 0.0
 
 

@@ -21,10 +21,8 @@ from .entanglement import (LabDisentanglement, RelaxationTimes, accel_for_t0,
                            concurrence, concurrence_closed, concurrence_numeric,
                            concurrence_real, disentanglement_time,
                            lab_exponent_constant, relaxation_times, t0_lab,
-                           tau0_asymptotic, tau0_inverse_cube)
-from .errors import (BlochBoundWarning, DomainError,
-                     IntegrationInstabilityError, NumericError,
-                     RindlerSpinError, ValidationError)
+                           tau0_inverse_cube)
+from .errors import BlochBoundWarning, DomainError, NumericError, RindlerSpinError
 
 __version__ = "0.1.0"
 
@@ -41,9 +39,7 @@ __all__ = [
     "LabDisentanglement", "RelaxationTimes",
     "accel_for_t0", "concurrence", "concurrence_closed",
     "concurrence_numeric", "concurrence_real", "disentanglement_time",
-    "lab_exponent_constant", "relaxation_times", "t0_lab", "tau0_asymptotic",
-    "tau0_inverse_cube",
-    "BlochBoundWarning", "DomainError", "IntegrationInstabilityError",
-    "NumericError", "RindlerSpinError", "ValidationError",
+    "lab_exponent_constant", "relaxation_times", "t0_lab", "tau0_inverse_cube",
+    "BlochBoundWarning", "DomainError", "NumericError", "RindlerSpinError",
     "__version__",
 ]

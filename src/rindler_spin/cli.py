@@ -22,7 +22,8 @@ lines with ``#`` comments), which wins over built-in defaults.  Each key
 of ``_SETTINGS`` is a config key and, with ``-`` for ``_``, a flag;
 ``_COMMANDS`` holds the settings each command reads, with their defaults,
 and a command takes and reads only those plus ``--format``/``--out``.
-Exit codes: 0 success, 2 argument error, 3 numeric error, 4 I/O error.
+Exit codes: 0 success, 2 argument error (``DomainError``, which
+``_ArgumentError`` extends), 3 numeric error (``NumericError``), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ import numpy as np
 from .correlator import MIN_NUMERIC_ALPHA, oracle_residual, rates_closed, rates_numeric
 from .entanglement import (accel_for_t0, concurrence_closed, concurrence_numeric,
                            disentanglement_time, lab_exponent_constant,
-                           relaxation_times, t0_lab, tau0_asymptotic,
-                           tau0_inverse_cube)
-from .errors import DomainError, NumericError, RindlerSpinError, ValidationError
+                           relaxation_times, t0_lab, tau0_inverse_cube)
+from .errors import DomainError, NumericError, RindlerSpinError
 from .kinematics import AccelerationProfile, rindler_residual, worldline
 from .params import CODATA, alpha_of, gamma0, unruh_temperature
 
@@ -51,8 +51,8 @@ _KNOWN_PROFILES = ("constant:a", "sinusoid:a0,omega", "zero")
 _FORMATS = ("csv", "json")
 
 
-class _ArgumentError(RindlerSpinError, ValueError):
-    """CLI-level argument problem (exit code 2)."""
+class _ArgumentError(DomainError):
+    """CLI-level argument problem (exit code 2, as every DomainError)."""
 
 
 class _IOFailure(RindlerSpinError, OSError):
@@ -91,7 +91,7 @@ def _parse_profile(spec):
             a0_s, _, om_s = params.partition(",")
             return AccelerationProfile.sinusoid(float(a0_s), float(om_s))
         if name == "zero":
-            return AccelerationProfile.zero()
+            return AccelerationProfile.constant(0.0)
     except ValueError as exc:
         raise _ArgumentError(f"bad profile parameters in {spec!r}: {exc}") from exc
     raise _ArgumentError(
@@ -320,7 +320,7 @@ def cmd_constants(config):
         "gamma0_per_s": rate0,
         "unruh_temperature_K": unruh_temperature(accel),
         "tau0_s": disentanglement_time(alpha) / rate0,
-        "tau0_asymptotic_s": tau0_asymptotic(accel, CODATA, mu),
+        "tau0_asymptotic_s": tau0_inverse_cube(alpha) / rate0,
         "t0_s": lab.t0,
         "log_t0": lab.log_t0,
         "exponent_constant_m2_s4": exponent_si,
@@ -370,7 +370,7 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         _COMMANDS[config.command][0](config)
-    except (_ArgumentError, DomainError, ValidationError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

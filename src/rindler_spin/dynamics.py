@@ -41,8 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .correlator import RateSet
-from .errors import (BlochBoundWarning, DomainError, IntegrationInstabilityError,
-                     ValidationError)
+from .errors import BlochBoundWarning, DomainError, NumericError
 from .linalg4 import jacobi_hermitian
 
 SIGMA = (
@@ -107,9 +106,9 @@ class PauliCoefficients:
     def __post_init__(self):
         r = np.array(self.r, dtype=float)
         if r.shape != (4, 4):
-            raise ValidationError("coefficients must form a 4x4 real array")
+            raise DomainError("coefficients must form a 4x4 real array")
         if abs(r[0, 0] - 0.25) > TRACE_TOL:
-            raise ValidationError("r[0][0] must be 1/4 (unit trace)")
+            raise DomainError("r[0][0] must be 1/4 (unit trace)")
         r.setflags(write=False)
         object.__setattr__(self, "r", r)
 
@@ -130,7 +129,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.array(self.m, dtype=complex)
         if m.shape != (4, 4):
-            raise ValidationError("density matrix must be 4x4")
+            raise DomainError("density matrix must be 4x4")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
@@ -157,9 +156,9 @@ class DensityMatrix:
 
     def validate(self):
         if self._structural_defect is not None:
-            raise ValidationError(self._structural_defect)
+            raise DomainError(self._structural_defect)
         if self.min_eigenvalue() < -PSD_TOL:
-            raise ValidationError("density matrix has a negative eigenvalue")
+            raise DomainError("density matrix has a negative eigenvalue")
         return self
 
     def min_eigenvalue(self):
@@ -181,7 +180,7 @@ class LindbladSpec:
         stiffest = max(self.rates.g_minus, self.rates.g_plus, 4.0 * self.rates.g_z)
         if self.dt is None:
             object.__setattr__(self, "dt", min(1e-3, 0.05 / max(stiffest, 1e-12)))
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise DomainError("dt must be positive")
         if self.dt * stiffest >= 0.1:
             raise DomainError(
@@ -195,7 +194,7 @@ def coeffs_from_density(rho: DensityMatrix) -> PauliCoefficients:
     Requires a finite, Hermitian, unit-trace matrix (positivity is not checked).
     """
     if rho._structural_defect is not None:
-        raise ValidationError(rho._structural_defect)
+        raise DomainError(rho._structural_defect)
     # Tr(rho P) = sum_ab rho_ab conj(P_ab) for each Hermitian basis operator P
     return PauliCoefficients((_BASIS_CONJ @ rho.m.reshape(16)).real.reshape(4, 4) / 4.0)
 
@@ -267,10 +266,11 @@ def evolve_numeric(rho0: DensityMatrix, spec: LindbladSpec, tau) -> DensityMatri
     With G the Pauli-basis generator, one RK4 step of length h is the
     matrix P = I + hG(I + hG/2(I + hG/3(I + hG/4))), so ceil(tau/dt) steps
     are the single power P^steps, cached per (rates, h, steps).
-    Preserves the trace exactly; raises IntegrationInstabilityError if the
-    result develops an eigenvalue below -1e-8.
+    Preserves the trace exactly; raises NumericError if the result develops
+    an eigenvalue below -1e-8, and DomainError where the step count tau/dt
+    overflows.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise DomainError("tau must be nonnegative")
     rho0.validate()
     if tau == 0:
@@ -278,7 +278,8 @@ def evolve_numeric(rho0: DensityMatrix, spec: LindbladSpec, tau) -> DensityMatri
 
     ratio = tau / spec.dt
     if not math.isfinite(ratio):
-        raise DomainError(f"tau/dt = {ratio} is not a finite step count")
+        raise DomainError(f"the RK4 step count tau/dt is beyond the float range at these "
+                          f"rates (tau = {tau:g}, step length dt = {spec.dt:.3g})")
     steps = max(1, math.ceil(ratio))
     rates = spec.rates
     # the equal segments of a linspace grid differ in the last ulp; h rounded
@@ -290,7 +291,7 @@ def evolve_numeric(rho0: DensityMatrix, spec: LindbladSpec, tau) -> DensityMatri
     result = DensityMatrix((r.reshape(16) @ _BASIS).reshape(4, 4))
     min_eig = result.min_eigenvalue()
     if min_eig < -1e-8:
-        raise IntegrationInstabilityError(
+        raise NumericError(
             f"evolution lost positivity (min eigenvalue {min_eig:.3e}); "
             "reduce spec.dt", residual=min_eig)
     return result

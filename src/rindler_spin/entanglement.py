@@ -16,7 +16,8 @@ with G1 = (1+alpha^2) coth(pi/alpha) and G2 = (G1 + alpha^3/pi)/2 the
 inverse relaxation and dephasing times in gamma0 units.  The proper time
 tau0 at which C reaches zero solves exp(-tau0 G2) = (1 - exp(-tau0 G1))
 sech(pi/alpha)/2; at large alpha it collapses onto pi*ln(3)/alpha^3
-(gamma0 units), i.e. an inverse-cube law in the acceleration, and the
+(gamma0 units, ``tau0_inverse_cube``; divided by gamma0 it is in seconds),
+i.e. an inverse-cube law in the acceleration, and the
 lab-frame time t0 = (c/2a) exp[(3 pi ln3 / 8) hbar c^5 / (mu^2 a^2)] is
 exponentially longer; ``accel_for_t0`` inverts ``t0_lab`` in closed form.
 ``concurrence_numeric`` recomputes ``concurrence_closed`` through the
@@ -36,7 +37,7 @@ import numpy as np
 from .correlator import alpha_cubed, rates_closed
 from .dynamics import (PAULI2, DensityMatrix, LindbladSpec, bell_state,
                        density_from_coefficients, evolve_numeric)
-from .errors import DomainError, NumericError, ValidationError
+from .errors import DomainError, NumericError
 from .linalg4 import characteristic_roots
 
 _SPIN_FLIP = PAULI2[2, 2].real  # sy x sy is real symmetric
@@ -115,7 +116,7 @@ def concurrence_real(rho: DensityMatrix) -> float:
     pins that failure at alpha 0.1.
     """
     if abs(rho.m.imag).max() >= 1e-12:  # a nan passes here; validate refuses it
-        raise ValidationError("concurrence_real requires a real density matrix")
+        raise DomainError("concurrence_real requires a real density matrix")
     rho.validate()
     product = rho.m.real @ _SPIN_FLIP
     values = characteristic_roots(product)
@@ -226,26 +227,13 @@ def concurrence_numeric(alpha, taus: Sequence[float]) -> list:
     return out
 
 
-def tau0_asymptotic(accel, constants, mu) -> float:
-    """High-temperature disentanglement time (3 pi ln3 / 8) hbar c^6 / (mu^2 a^3), s.
-
-    In gamma0 units this is pi*ln(3)/alpha^3, the inverse-cube law valid
-    for alpha >> 1 with relative error O(alpha^-2).  It is
-    ``lab_exponent_constant`` times c/a^3, and raises DomainError where that
-    constant does.
-    """
-    if not 0 < accel < math.inf:
-        raise DomainError("tau0_asymptotic requires a finite accel > 0")
-    # saturates to inf or 0 where a^3 leaves the float range
-    return lab_exponent_constant(constants, mu) * constants.c / accel / accel / accel
-
-
 def tau0_inverse_cube(alpha) -> float:
     """The inverse-cube law pi*ln(3)/alpha^3 for tau0, in gamma0^-1 units.
 
-    ``tau0_asymptotic`` in gamma0 units, the large-alpha limit of
-    ``disentanglement_time``; inf where alpha^3 underflows to 0.  Raises
-    DomainError unless alpha > 0 and alpha^3 is a finite float.
+    The large-alpha limit of ``disentanglement_time``, with relative error
+    O(alpha^-2); in seconds it is (3 pi ln3 / 8) hbar c^6 / (mu^2 a^3),
+    that is this value over gamma0.  inf where alpha^3 underflows to 0.
+    Raises DomainError unless alpha > 0 and alpha^3 is a finite float.
     """
     if alpha <= 0:
         raise DomainError("tau0_inverse_cube requires alpha > 0")

@@ -1,7 +1,8 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules: one library error per exit code.
 
-The CLI maps these onto exit codes: argument/domain problems exit 2,
-numerical failures exit 3, I/O failures exit 4.
+The CLI maps these onto exit codes: ``DomainError`` (an argument outside
+an operation's domain, or a state that breaks its invariants) exits 2,
+``NumericError`` (a numerical failure) exits 3, and I/O failures exit 4.
 """
 
 
@@ -10,11 +11,8 @@ class RindlerSpinError(Exception):
 
 
 class DomainError(RindlerSpinError, ValueError):
-    """An argument lies outside the physical domain of an operation."""
-
-
-class ValidationError(RindlerSpinError, ValueError):
-    """A state object violates its structural invariants."""
+    """An argument lies outside the domain of an operation, or a state object
+    violates its structural invariants."""
 
 
 class NumericError(RindlerSpinError, RuntimeError):
@@ -26,10 +24,6 @@ class NumericError(RindlerSpinError, RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class IntegrationInstabilityError(NumericError):
-    """Fixed-step integration left the physical state space; reduce dt."""
 
 
 class BlochBoundWarning(UserWarning):

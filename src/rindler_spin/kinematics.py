@@ -51,10 +51,6 @@ class AccelerationProfile:
     def sinusoid(cls, a0, omega):
         return cls(lambda tau: a0 * math.sin(omega * tau))
 
-    @classmethod
-    def zero(cls):
-        return cls(lambda tau: 0.0)
-
 
 @dataclass(frozen=True)
 class WorldlineEvent:

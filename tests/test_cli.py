@@ -62,6 +62,9 @@ def test_rates_oracle_below_cutoff_blank(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert rows[0][-3:] == [None, None, None]
+    code, out, _ = run_cli(capsys, "rates", "--alpha", "0.3", "--oracle", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0][-3:] == [None, None, None]
 
 
 def test_rates_oracle_default_grid(capsys):
@@ -347,6 +350,9 @@ def test_config_oracle_flag_wins(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "rates", "--alpha", "1", "--config", str(cfg), "--oracle")
     assert code == 0
     assert parse_csv(out)[0][-1] == "oracle_residual"
+    code, out, _ = run_cli(capsys, "rates", "--alpha", "1", "--config", str(cfg))
+    assert code == 0
+    assert parse_csv(out)[0][-1] == "T2"  # "no" reads as false
 
 
 def test_config_env_var(capsys, tmp_path, monkeypatch):
@@ -372,6 +378,44 @@ def test_bad_grid_spec(capsys):
     code, _, err = run_cli(capsys, "rates", "--alpha-grid", "1:2")
     assert code == 2
     assert "lo:hi:n" in err
+
+
+@pytest.mark.parametrize("argv, config, fragment", [
+    (["rates", "--alpha-grid", "1:2:3:lin"], None, "fourth grid field must be 'log'"),
+    (["rates", "--alpha-grid", "a:2:3"], None, "--alpha-grid: could not convert"),
+    (["rates", "--alpha-grid", "0:2:3:log"], None, "log grid requires lo > 0"),
+    (["worldline", "--profile", "sinusoid:1"], None, "bad profile parameters in 'sinusoid:1'"),
+    (["rates"], "alpha 2\n", "run.cfg:1: expected 'key = value'"),
+    (["rates", "--config", "/nonexistent/dir/run.cfg"], None, "cannot read config file"),
+    (["rates"], "oracle = maybe\n", "config key oracle: not a boolean: 'maybe'"),
+    (["rates"], "alpha = x\n", "config key alpha: could not convert"),
+    (["rates"], "format = xml\n", "unknown format 'xml'"),
+], ids=["grid-fourth-field", "grid-not-a-number", "log-grid-lo", "sinusoid-params",
+        "config-no-equals", "config-unreadable", "config-oracle", "config-alpha",
+        "config-format"])
+def test_bad_input_exits_2(capsys, tmp_path, argv, config, fragment):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and fragment in err
+
+
+def test_one_library_error_per_exit_code(capsys, monkeypatch):
+    from rindler_spin import cli
+    exported = [getattr(rindler_spin, name) for name in rindler_spin.__all__]
+    assert {obj.__name__ for obj in exported if isinstance(obj, type)
+            and issubclass(obj, Exception) and not issubclass(obj, Warning)} == {
+        "RindlerSpinError", "DomainError", "NumericError"}
+    _, helptext, settings = cli._COMMANDS["rates"]
+    for error, code, prefix in ((rindler_spin.DomainError, 2, "error"),
+                                (rindler_spin.NumericError, 3, "numeric error")):
+        def fail(config, error=error):
+            raise error("injected")
+        monkeypatch.setitem(cli._COMMANDS, "rates", (fail, helptext, settings))
+        assert run_cli(capsys, "rates") == (code, "", f"{prefix}: injected\n")
 
 
 def test_unwritable_output(capsys):

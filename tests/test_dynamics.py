@@ -5,7 +5,7 @@ import pytest
 
 from rindler_spin import (BlochBoundWarning, DensityMatrix, DomainError,
                           LindbladSpec, PauliCoefficients, RateSet,
-                          ValidationError, bell_state, bloch_norm,
+                          NumericError, bell_state, bloch_norm,
                           coeffs_from_density, concurrence_numeric,
                           density_from_coefficients, evolve_analytic,
                           evolve_numeric, rates_closed, steady_state)
@@ -57,14 +57,14 @@ def test_coeffs_roundtrip_random():
 def test_coeffs_rejects_non_hermitian():
     bad = np.eye(4, dtype=complex) / 4.0
     bad[0, 1] = 0.2
-    with pytest.raises(ValidationError):
+    with pytest.raises(DomainError, match="not Hermitian"):
         coeffs_from_density(DensityMatrix(bad))
 
 
 def test_coeffs_rejects_non_finite():
     bad = np.eye(4, dtype=complex) / 4.0
     bad[1, 2] = bad[2, 1] = np.nan
-    with pytest.raises(ValidationError, match="non-finite"):
+    with pytest.raises(DomainError, match="non-finite"):
         coeffs_from_density(DensityMatrix(bad))
 
 
@@ -94,8 +94,10 @@ def test_density_bell_corners():
 def test_density_trace_validation():
     r = np.zeros((4, 4))
     r[0, 0] = 0.3
-    with pytest.raises(ValidationError):
+    with pytest.raises(DomainError, match="unit trace"):
         PauliCoefficients(r)
+    with pytest.raises(DomainError, match="4x4 real array"):
+        PauliCoefficients(np.zeros((3, 4)))
 
 
 def test_density_bloch_bound_warning():
@@ -253,14 +255,25 @@ def test_evolve_numeric_high_temperature():
     assert np.max(np.abs(out.m - analytic.m)) < 1e-8
 
 
-def test_evolve_numeric_step_count_domain():
+def test_evolve_numeric_step_count_domain(capsys):
     rates = rates_closed(1.0)
     rho0 = density_from_coefficients(bell_state())
-    for tau in (math.inf, math.nan):
-        with pytest.raises(DomainError):
-            evolve_numeric(rho0, LindbladSpec(rates=rates, dt=1e-3), tau)
-    with pytest.raises(DomainError):  # tau/dt overflows
-        evolve_numeric(rho0, LindbladSpec(rates=rates, dt=1e-309), 1.0)
+    spec = LindbladSpec(rates=rates, dt=1e-3)
+    same = evolve_numeric(rho0, spec, 0.0)
+    assert same is not rho0 and np.array_equal(same.m, rho0.m)
+    for tau in (-0.1, math.nan):
+        with pytest.raises(DomainError, match="tau must be nonnegative"):
+            evolve_numeric(rho0, spec, tau)
+    with pytest.raises(DomainError, match=r"step count tau/dt is beyond the float range"):
+        evolve_numeric(rho0, spec, math.inf)
+    with pytest.raises(DomainError, match=r"beyond the float range .*dt = 1e-309\)"):
+        evolve_numeric(rho0, LindbladSpec(rates=rates, dt=1e-309), 1.0)  # tau/dt overflows
+    # the curve command's master-equation column, where the default step is subnormal
+    from rindler_spin.cli import main
+    assert main(["curve", "--alpha", "5e102", "--tau-grid", "0:1:2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the RK4 step count tau/dt is beyond the float range at these rates "
+        "(tau = 1, step length dt = 1.26e-309)\n")
 
 
 def test_curve_high_alpha_cli(capsys):
@@ -334,11 +347,24 @@ def test_evolve_numeric_positivity_random_states(alpha):
         assert out.min_eigenvalue() >= -1e-8
 
 
+def test_evolve_numeric_refuses_lost_positivity(monkeypatch):
+    import rindler_spin.dynamics as dynamics
+    # tripling the Bell state's correlations leaves rho an eigenvalue 1/4 - 3/4
+    monkeypatch.setattr(dynamics, "_step_power", lambda *key: np.diag([1.0, 3.0, 3.0, 3.0]))
+    spec = LindbladSpec(rates=rates_closed(1.0), dt=1e-3)
+    with pytest.raises(NumericError, match="reduce spec.dt") as excinfo:
+        evolve_numeric(density_from_coefficients(bell_state()), spec, 0.1)
+    assert excinfo.value.residual == pytest.approx(-0.5, abs=1e-12)
+
+
 def test_lindblad_spec_step_guard():
     rates = rates_closed(5.0)   # 4 g_z ~ 39.8
     with pytest.raises(DomainError):
         LindbladSpec(rates=rates, dt=1e-2)
     LindbladSpec(rates=rates, dt=1e-3)  # fine
+    for dt in (0.0, math.nan):
+        with pytest.raises(DomainError, match="dt must be positive"):
+            LindbladSpec(rates=rates, dt=dt)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 50.0])
@@ -354,21 +380,23 @@ def test_lindblad_spec_default_step(alpha):
 def test_density_validate_errors():
     good = np.eye(4, dtype=complex) / 4.0
     DensityMatrix(good).validate()
+    with pytest.raises(DomainError, match="must be 4x4"):
+        DensityMatrix(np.eye(2))
     bad_trace = np.eye(4, dtype=complex) / 3.0
-    with pytest.raises(ValidationError, match="unit trace"):
+    with pytest.raises(DomainError, match="unit trace"):
         DensityMatrix(bad_trace).validate()
     non_psd = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ValidationError, match="negative eigenvalue"):
+    with pytest.raises(DomainError, match="negative eigenvalue"):
         DensityMatrix(non_psd).validate()
     non_herm = np.array(good)
     non_herm[0, 1] = 1e-3
-    with pytest.raises(ValidationError, match="not Hermitian"):
+    with pytest.raises(DomainError, match="not Hermitian"):
         DensityMatrix(non_herm).validate()
     for value in (math.nan, math.inf):
         for i, j in ((1, 1), (0, 2)):  # a diagonal entry; a Hermitian off-diagonal pair
             non_finite = np.array(good)
             non_finite[i, j] = non_finite[j, i] = value
-            with pytest.raises(ValidationError, match="non-finite"):
+            with pytest.raises(DomainError, match="non-finite"):
                 DensityMatrix(non_finite).validate()
 
 

@@ -1,17 +1,17 @@
+import json
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from rindler_spin import (CODATA, DensityMatrix, DomainError, NumericError,
-                          ValidationError, accel_for_t0,
+from rindler_spin import (CODATA, DensityMatrix, DomainError, NumericError, accel_for_t0,
                           bell_state, concurrence, concurrence_closed,
                           concurrence_numeric, concurrence_real,
                           density_from_coefficients, disentanglement_time,
                           evolve_analytic, gamma0, lab_exponent_constant,
                           rates_closed, relaxation_times, steady_state,
-                          t0_lab, tau0_asymptotic, tau0_inverse_cube)
+                          t0_lab, tau0_inverse_cube)
 from rindler_spin.dynamics import PAULI2, SIGMA
 from rindler_spin.linalg4 import characteristic_roots
 
@@ -92,15 +92,16 @@ def test_concurrence_evolved_bell_vs_closed():
 
 def test_concurrence_rejects_invalid_state():
     bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ValidationError):
+    with pytest.raises(DomainError, match="negative eigenvalue"):
         concurrence(DensityMatrix(bad))
     good = np.eye(4, dtype=complex) / 4.0
     slightly_negative = np.diag([0.5 + 1e-9, 0.5, 0.0, -1e-9]).astype(complex)
     non_herm, bad_trace, non_finite = np.array(good), good * 1.01, np.array(good)
     non_herm[0, 1] = 1e-3
     non_finite[1, 1] = math.nan
-    for m in (slightly_negative, non_herm, bad_trace, non_finite):
-        with pytest.raises(ValidationError):
+    for m, defect in ((slightly_negative, "negative eigenvalue"), (non_herm, "not Hermitian"),
+                      (bad_trace, "unit trace"), (non_finite, "non-finite")):
+        with pytest.raises(DomainError, match=defect):
             concurrence(DensityMatrix(m))
     # within the positivity tolerance of DensityMatrix.validate
     edge = np.diag([0.5 + 1e-11, 0.5, 0.0, -1e-11]).astype(complex)
@@ -160,20 +161,24 @@ def test_concurrence_real_double_root():
 
 def test_concurrence_real_rejects_non_finite_roots(monkeypatch):
     import rindler_spin.entanglement as entanglement
-    monkeypatch.setattr(entanglement, "characteristic_roots",
-                        lambda m: np.array([np.nan, np.nan, 0.5, -0.5], dtype=complex))
-    with pytest.raises(NumericError, match="not all finite"):
-        concurrence_real(bell_density())
+    for roots, message, residual in (
+            ([np.nan, np.nan, 0.5, -0.5], "not all finite", None),
+            ([0.5 + 0.1j, 0.5 - 0.1j, 0.0, 0.0], "complex eigenvalue residual", 0.1)):
+        monkeypatch.setattr(entanglement, "characteristic_roots",
+                            lambda m: np.array(roots, dtype=complex))
+        with pytest.raises(NumericError, match=message) as excinfo:
+            concurrence_real(bell_density())
+        assert excinfo.value.residual == residual
 
 
 def test_concurrence_real_requires_real_input():
     rng = np.random.default_rng(23)
-    with pytest.raises(ValidationError):
+    with pytest.raises(DomainError, match="requires a real density matrix"):
         concurrence_real(random_density(rng))
     # a nan imaginary part passes the realness check; validate refuses it
     m = np.eye(4, dtype=complex) / 4.0
     m[1, 2] = m[2, 1] = complex(0.0, math.nan)
-    with pytest.raises(ValidationError, match="non-finite"):
+    with pytest.raises(DomainError, match="non-finite"):
         concurrence_real(DensityMatrix(m))
 
 
@@ -317,25 +322,29 @@ def test_steady_state_concurrence_zero():
         assert concurrence(rho) <= 1e-12
 
 
-def test_tau0_asymptotic_prefactor_and_scaling():
+def test_tau0_asymptotic_prefactor_and_scaling(capsys):
+    from rindler_spin.cli import main
+
+    def tau0_asymptotic_s(accel):
+        assert main(["constants", "--accel", accel, "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["values"]["tau0_asymptotic_s"]
+
     assert 3.0 * math.pi * math.log(3.0) / 8.0 == pytest.approx(PREFACTOR, rel=1e-14)
-    mu = CODATA.bohr_magneton
-    base = tau0_asymptotic(1e26, CODATA, mu)
-    assert tau0_asymptotic(2e26, CODATA, mu) == pytest.approx(base / 8.0, rel=1e-13)
+    base = tau0_asymptotic_s("1e26")
+    assert tau0_asymptotic_s("2e26") == pytest.approx(base / 8.0, rel=1e-13)
     assert base == pytest.approx(0.011521017712928494, rel=1e-12)
 
 
 def test_tau0_asymptotic_dimensionless_crosscheck():
-    # gamma0 * tau0_asymptotic equals pi ln3 / alpha^3 for the same operating point
+    # the cgs inverse-cube law (3 pi ln3/8) hbar c^6/(mu^2 a^3) is pi ln3/alpha^3 over gamma0
     from rindler_spin import alpha_of
     mu = CODATA.bohr_magneton
     gap = 2.0 * mu
     accel = 100.0 * CODATA.c * gap / CODATA.hbar   # alpha = 100
-    alpha = alpha_of(accel, gap)
-    dimensionless = gamma0(mu, gap) * tau0_asymptotic(accel, CODATA, mu)
-    assert dimensionless == pytest.approx(math.pi * math.log(3.0) / alpha**3, rel=1e-12)
-    assert dimensionless == pytest.approx(disentanglement_time(alpha), rel=1e-3)
-    assert tau0_inverse_cube(alpha) == pytest.approx(dimensionless, rel=1e-12)
+    alpha, rate0 = alpha_of(accel, gap), gamma0(mu, gap)
+    cgs = 3.0 * math.pi * math.log(3.0) / 8.0 * CODATA.hbar * CODATA.c**6 / (mu**2 * accel**3)
+    assert cgs == pytest.approx(tau0_inverse_cube(alpha) / rate0, rel=1e-12)
+    assert cgs == pytest.approx(disentanglement_time(alpha) / rate0, rel=1e-3)
 
 
 def test_tau0_inverse_cube_domain():
@@ -350,12 +359,10 @@ def test_lab_exponent_constant():
     value_si = lab_exponent_constant(CODATA, CODATA.bohr_magneton) / 1e4
     assert value_si == pytest.approx(EXPONENT_SI, rel=1e-12)
     assert abs(value_si - 3.8e61) / 3.8e61 < 0.03
-    # mu**2 overflows, K/mu^2 overflows, mu**2 underflows to 0; tau0_asymptotic shares K
+    # mu**2 overflows, K/mu^2 overflows, mu**2 underflows to 0
     for mu in (1e200, 1e-150, 1e-200):
         with pytest.raises(DomainError, match="exponent constant"):
             lab_exponent_constant(CODATA, mu)
-        with pytest.raises(DomainError, match="exponent constant"):
-            tau0_asymptotic(1e26, CODATA, mu)
 
 
 def test_t0_lab_overflow_and_log():
@@ -391,19 +398,15 @@ def test_t0_lab_domain():
     for accel in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             t0_lab(accel, CODATA, mu)
-        with pytest.raises(DomainError):
-            tau0_asymptotic(accel, CODATA, mu)
 
 
 def test_t0_lab_float_range_edges():
-    # 2a and a^3 overflow, and K/a^2 and 1/a^3 overflow, without an exception
+    # 2a overflows, and K/a^2 overflows, without an exception
     mu = CODATA.bohr_magneton
     lab = t0_lab(1.7e308, CODATA, mu)
     assert lab.t0 == pytest.approx(CODATA.c / 2.0 / 1.7e308, rel=1e-12)
     assert lab.log_t0 == pytest.approx(math.log(CODATA.c / 2.0) - math.log(1.7e308), rel=1e-14)
-    assert tau0_asymptotic(1.7e308, CODATA, mu) == 0.0
     assert t0_lab(1e-200, CODATA, mu).t0 == math.inf
-    assert tau0_asymptotic(1e-200, CODATA, mu) == math.inf
 
 
 def test_t0_lab_finite_where_the_exponential_alone_overflows():

@@ -37,7 +37,7 @@ def test_worldline_accuracy_across_the_acceptance_range():
 
 def test_worldline_zero_profile():
     taus = np.linspace(0.0, 5.0, 11)
-    events = worldline(AccelerationProfile.zero(), taus, c=1.0)
+    events = worldline(AccelerationProfile.constant(0.0), taus, c=1.0)
     for ev in events:
         assert ev.t == pytest.approx(ev.tau, abs=1e-12)
         assert ev.z == pytest.approx(0.0, abs=1e-12)
@@ -71,7 +71,7 @@ def test_worldline_sinusoid_line_element():
 
 
 def test_worldline_grid_validation():
-    profile = AccelerationProfile.zero()
+    profile = AccelerationProfile.constant(0.0)
     with pytest.raises(DomainError):
         worldline(profile, [1.0, 2.0])          # must start at 0
     with pytest.raises(DomainError):

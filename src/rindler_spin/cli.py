@@ -22,8 +22,8 @@ lines with ``#`` comments), which wins over built-in defaults.  Each key
 of ``_SETTINGS`` is a config key and, with ``-`` for ``_``, a flag;
 ``_COMMANDS`` holds the settings each command reads, with their defaults,
 and a command takes and reads only those plus ``--format``/``--out``.
-Exit codes: 0 success, 2 argument error (``DomainError``, which
-``_ArgumentError`` extends), 3 numeric error (``NumericError``), 4 I/O error.
+Exit codes: 0 success, 2 argument error (``DomainError``), 3 numeric
+error (``NumericError``), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -47,12 +47,13 @@ from .params import CODATA, alpha_of, gamma0, unruh_temperature
 CONFIG_ENV = "RINDLER_SPIN_CONFIG"
 EXPONENT_REFERENCE_M2S4 = 3.8e61  # reference electron value of the t0 exponent constant
 
-_KNOWN_PROFILES = ("constant:a", "sinusoid:a0,omega", "zero")
+#: --profile NAME[:PARAMS]: name -> (constructor, the names of its PARAMS, in order)
+_PROFILES = {"constant": (AccelerationProfile.constant, ("a",)),
+             "sinusoid": (AccelerationProfile.sinusoid, ("a0", "omega")),
+             "zero": (lambda: AccelerationProfile.constant(0.0), ())}
+_PROFILE_FORMS = ", ".join(f"{name}:{','.join(params)}" if params else name
+                           for name, (_, params) in _PROFILES.items())
 _FORMATS = ("csv", "json")
-
-
-class _ArgumentError(DomainError):
-    """CLI-level argument problem (exit code 2, as every DomainError)."""
 
 
 class _IOFailure(RindlerSpinError, OSError):
@@ -64,38 +65,36 @@ def _parse_grid(spec, name):
     flag = f"--{name}-grid"
     parts = str(spec).split(":")
     if len(parts) not in (3, 4):
-        raise _ArgumentError(f"{flag}: expected lo:hi:n[:log], got {spec!r}")
+        raise DomainError(f"{flag}: expected lo:hi:n[:log], got {spec!r}")
     log = len(parts) == 4
     if log and parts[3] != "log":
-        raise _ArgumentError(f"{flag}: fourth grid field must be 'log'")
+        raise DomainError(f"{flag}: fourth grid field must be 'log'")
     try:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise _ArgumentError(f"{flag}: {exc}") from exc
+        raise DomainError(f"{flag}: {exc}") from exc
     if n < 1 or not math.isfinite(hi - lo) or hi < lo:  # a nan or inf bound, or hi - lo overflows
-        raise _ArgumentError(f"{flag}: need finite lo <= hi and n >= 1")
+        raise DomainError(f"{flag}: need finite lo <= hi and n >= 1")
     if log and lo <= 0:
-        raise _ArgumentError(f"{flag}: log grid requires lo > 0")
+        raise DomainError(f"{flag}: log grid requires lo > 0")
     grid = np.logspace(math.log10(lo), math.log10(hi), n) if log else np.linspace(lo, hi, n)
     if np.any(np.diff(grid) <= 0):  # a repeated point repeats rows; a falling one fails
-        raise _ArgumentError(f"{name} grid must be strictly increasing")
+        raise DomainError(f"{name} grid must be strictly increasing")
     return grid
 
 
 def _parse_profile(spec):
     name, _, params = str(spec).partition(":")
+    if name not in _PROFILES:
+        raise DomainError(f"unknown profile {name!r}; known profiles: {_PROFILE_FORMS}")
+    build, names = _PROFILES[name]
+    values = params.split(",") if params else []
     try:
-        if name == "constant":
-            return AccelerationProfile.constant(float(params or 1.0))
-        if name == "sinusoid":
-            a0_s, _, om_s = params.partition(",")
-            return AccelerationProfile.sinusoid(float(a0_s), float(om_s))
-        if name == "zero":
-            return AccelerationProfile.constant(0.0)
+        if len(values) != len(names):
+            raise ValueError(f"{name} takes {','.join(names) or 'no values'}, got {len(values)}")
+        return name, build(*map(float, values))
     except ValueError as exc:
-        raise _ArgumentError(f"bad profile parameters in {spec!r}: {exc}") from exc
-    raise _ArgumentError(
-        f"unknown profile {name!r}; known profiles: {', '.join(_KNOWN_PROFILES)}")
+        raise DomainError(f"bad profile parameters in {spec!r}: {exc}") from exc
 
 
 def _load_config_file(path):
@@ -108,10 +107,10 @@ def _load_config_file(path):
                     continue
                 key, sep, value = line.partition("=")
                 if not sep:
-                    raise _ArgumentError(f"{path}:{lineno}: expected 'key = value'")
+                    raise DomainError(f"{path}:{lineno}: expected 'key = value'")
                 settings[key.strip()] = value.strip()
     except OSError as exc:
-        raise _ArgumentError(f"cannot read config file {path}: {exc}") from exc
+        raise DomainError(f"cannot read config file {path}: {exc}") from exc
     return settings
 
 
@@ -138,7 +137,7 @@ _SETTINGS = {
     "out": (str, dict(help="output file path (default: stdout)")),
     "profile": (str, dict(
         metavar="NAME[:PARAMS]",
-        help=f"acceleration profile, one of: {', '.join(_KNOWN_PROFILES)}")),
+        help=f"acceleration profile, one of: {_PROFILE_FORMS}")),
     "mu": (float, dict(help="magnetic moment, erg/G")),
     "gap": (float, dict(help="energy gap, erg")),
     "accel": (float, dict(help="acceleration, cm/s^2")),
@@ -156,17 +155,17 @@ def _resolve_config(args):
     cfg = _load_config_file(path) if path else {}
     unknown = set(cfg) - set(_SETTINGS)
     if unknown:
-        raise _ArgumentError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise DomainError(f"unknown config keys: {', '.join(sorted(unknown))}")
     defaults = {**_COMMANDS[args.command][2], **_SHARED}
     for key in defaults:
         if getattr(args, key) is None and key in cfg:
             try:
                 setattr(args, key, _SETTINGS[key][0](cfg[key]))
             except (TypeError, ValueError) as exc:
-                raise _ArgumentError(f"config key {key}: {exc}") from exc
+                raise DomainError(f"config key {key}: {exc}") from exc
     for one, other in _EXCLUSIVE:
         if getattr(args, one, None) is not None and getattr(args, other, None) is not None:
-            raise _ArgumentError(f"give either --{one.replace('_', '-')} or "
+            raise DomainError(f"give either --{one.replace('_', '-')} or "
                                  f"--{other.replace('_', '-')}, not both")
     for key, default in defaults.items():
         if getattr(args, key) is None:
@@ -178,9 +177,9 @@ def _resolve_config(args):
     if "tau_grid" in defaults:
         args.tau_grid = _parse_grid(args.tau_grid, "tau")
     if args.format not in _FORMATS:
-        raise _ArgumentError(f"unknown format {args.format!r} (csv or json)")
+        raise DomainError(f"unknown format {args.format!r} (csv or json)")
     if "mu" in defaults and not (0 < args.mu < math.inf and 0 < args.gap < math.inf):
-        raise _ArgumentError("--mu and --gap must be finite and positive")
+        raise DomainError("--mu and --gap must be finite and positive")
     return args
 
 
@@ -289,10 +288,10 @@ def cmd_surface(config):
 
 def cmd_worldline(config):
     """Trajectory dump in units with c = 1 (supply a and tau consistently)."""
-    profile = _parse_profile(config.profile)
+    name, profile = _parse_profile(config.profile)
     events = worldline(profile, config.tau_grid, c=1.0)
     # a positive constant profile gets a column of distances from its closed-form hyperbola
-    a = profile.a_of_tau(0.0) if config.profile.partition(":")[0] == "constant" else 0.0
+    a = profile.a_of_tau(0.0) if name == "constant" else 0.0
     columns = ["tau", "t", "z", "rapidity", "beta"] + (["residual"] if a > 0 else [])
     rows = []
     for ev in events:
@@ -305,15 +304,15 @@ def cmd_worldline(config):
 
 def cmd_constants(config):
     if config.accel is None and config.target_t0 is None:
-        raise _ArgumentError("constants needs --accel (or --target-t0 to invert)")
+        raise DomainError("constants needs --accel (or --target-t0 to invert)")
     mu, gap = config.mu, config.gap
     accel = config.accel
     if accel is None:
-        accel = accel_for_t0(config.target_t0, CODATA, mu)
+        accel = accel_for_t0(config.target_t0, mu)
     alpha = alpha_of(accel, gap)
     rate0 = gamma0(mu, gap)
-    lab = t0_lab(accel, CODATA, mu)
-    exponent_si = lab_exponent_constant(CODATA, mu) / 1e4  # cm^2/s^4 -> m^2/s^4
+    lab = t0_lab(accel, mu)
+    exponent_si = lab_exponent_constant(mu) / 1e4  # cm^2/s^4 -> m^2/s^4
     values = {
         "accel_cm_s2": accel,
         "alpha": alpha,

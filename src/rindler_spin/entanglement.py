@@ -39,6 +39,7 @@ from .dynamics import (PAULI2, DensityMatrix, LindbladSpec, bell_state,
                        density_from_coefficients, evolve_numeric)
 from .errors import DomainError, NumericError
 from .linalg4 import characteristic_roots
+from .params import CODATA
 
 _SPIN_FLIP = PAULI2[2, 2].real  # sy x sy is real symmetric
 #: sy x sy reverses the rows of what it multiplies, with these signs
@@ -241,18 +242,18 @@ def tau0_inverse_cube(alpha) -> float:
     return math.pi * math.log(3.0) / cube if cube > 0 else math.inf
 
 
-def lab_exponent_constant(constants, mu) -> float:
+def lab_exponent_constant(mu) -> float:
     """The acceleration-free part of the lab-frame exponent, (3 pi ln3/8) hbar c^5 / mu^2.
 
-    Returned in cm^2/s^4; dividing by a^2 gives the dimensionless exponent
-    of t0.  For the electron (mu = Bohr magneton) this is the constant the
+    In cm^2/s^4 (``CODATA``, mu in erg/G); over a^2 it is t0's dimensionless
+    exponent.  For the electron (mu = Bohr magneton) this is the constant the
     log of the disentanglement time is controlled by, about 3.8e61 m^2/s^4.
     Raises DomainError unless mu > 0 and mu^2 and the constant are positive finite floats.
     """
     if not mu > 0:
         raise DomainError(f"the lab-frame exponent constant requires mu > 0 (mu = {mu!r} erg/G)")
     try:
-        value = 3.0 * math.pi * math.log(3.0) / 8.0 * constants.hbar * constants.c**5 / mu**2
+        value = 3.0 * math.pi * math.log(3.0) / 8.0 * CODATA.hbar * CODATA.c**5 / mu**2
     except (OverflowError, ZeroDivisionError):  # mu**2 overflows or underflows to 0
         value = math.inf
     if not 0 < value < math.inf:
@@ -261,17 +262,17 @@ def lab_exponent_constant(constants, mu) -> float:
     return value
 
 
-def t0_lab(accel, constants, mu) -> LabDisentanglement:
-    """Lab-frame disentanglement time t0 = (c/2a) exp[K/a^2], overflow-safe.
+def t0_lab(accel, mu) -> LabDisentanglement:
+    """Lab-frame time t0 = (c/2a) exp[K/a^2] (s) at a = ``accel`` (cm/s^2), overflow-safe.
 
-    Returns the pair (t0, log t0): log t0 = ln(c/2a) + K/a^2 is finite unless
-    K/a^2 overflows (a below about 5e-122 cm/s^2 for the electron), and
-    t0 = exp(log t0) is inf only where that overflows.
+    K = ``lab_exponent_constant(mu)``.  Returns (t0, log t0): log t0 = ln(c/2a) + K/a^2
+    is finite unless K/a^2 overflows (a below about 5e-122 cm/s^2 for the
+    electron), and t0 = exp(log t0) is inf only where that overflows.
     """
     if not 0 < accel < math.inf:
         raise DomainError("t0_lab requires a finite accel > 0")
-    exponent = lab_exponent_constant(constants, mu) / accel / accel  # no a**2 overflow
-    log_t0 = math.log(0.5 * constants.c / accel) + exponent  # c/(2a) without the 2a overflow
+    exponent = lab_exponent_constant(mu) / accel / accel  # no a**2 overflow
+    log_t0 = math.log(0.5 * CODATA.c / accel) + exponent  # c/(2a) without the 2a overflow
     try:
         t0 = math.exp(log_t0)
     except OverflowError:
@@ -279,8 +280,8 @@ def t0_lab(accel, constants, mu) -> LabDisentanglement:
     return LabDisentanglement(t0=t0, log_t0=log_t0)
 
 
-def accel_for_t0(t0, constants, mu) -> float:
-    """The acceleration (cm/s^2) whose lab-frame time ``t0_lab`` is t0 seconds.
+def accel_for_t0(t0, mu) -> float:
+    """The acceleration (cm/s^2) whose lab-frame time ``t0_lab(a, mu)`` is t0 seconds.
 
     With w = 2K/a^2, ln t0 = ln(c/2a) + K/a^2 is w + ln w = z for
     z = 2 ln t0 - 2 ln(c/2) + ln 2K.  Newton on l = ln w starts above the
@@ -291,8 +292,8 @@ def accel_for_t0(t0, constants, mu) -> float:
     """
     if not 0 < t0 < math.inf:
         raise DomainError("accel_for_t0 requires a finite t0 > 0")
-    two_k = 2.0 * lab_exponent_constant(constants, mu)
-    z = 2.0 * (math.log(t0) - math.log(0.5 * constants.c)) + math.log(two_k)
+    two_k = 2.0 * lab_exponent_constant(mu)
+    z = 2.0 * (math.log(t0) - math.log(0.5 * CODATA.c)) + math.log(two_k)
     ell = z if z < math.e else math.log(z)
     for _ in range(100):  # from above, the steps shrink to zero; this only bounds them
         step = (math.exp(ell) + ell - z) / (math.exp(ell) + 1.0)

@@ -9,8 +9,8 @@ acceleration enters through
 
 rates are quoted in units of the zero-acceleration spontaneous flip rate
 gamma0 = (8/3) mu^2 Delta^3 / (hbar^4 c^3), and times in units of 1/gamma0.
-This module owns the conversions between that dimensionless core and
-physical units.
+This module owns the conversions to and from physical units; they read the
+snapshot ``CODATA``, and only ``correlator.wightman_rindler`` takes another.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Gaussian-cgs constant snapshot (CODATA 2018).
+    """Gaussian-cgs constants; the unit conversions read the CODATA 2018 set ``CODATA``.
 
     ``electron_charge`` is the positive elementary charge; the electron's
     signed charge is ``-electron_charge``.
@@ -54,7 +54,7 @@ def finite(value, name):
     return value
 
 
-def alpha_of(accel, gap, constants=CODATA):
+def alpha_of(accel, gap):
     """Dimensionless acceleration alpha = a*hbar/(c*Delta).
 
     ``accel`` in cm/s^2 (nonnegative), ``gap`` in erg (positive); DomainError
@@ -64,10 +64,10 @@ def alpha_of(accel, gap, constants=CODATA):
         raise DomainError("gap must be strictly positive")
     if not accel >= 0:
         raise DomainError("accel must be nonnegative")
-    alpha = accel * constants.hbar / (constants.c * gap)
+    alpha = accel * CODATA.hbar / (CODATA.c * gap)
     if alpha == 0 and accel > 0:  # a*hbar underflowed or c*Delta overflowed: scale both out
         (a, a_exp), (g, g_exp) = math.frexp(accel), math.frexp(gap)
-        alpha = math.ldexp(a * constants.hbar / (constants.c * g), a_exp - g_exp)
+        alpha = math.ldexp(a * CODATA.hbar / (CODATA.c * g), a_exp - g_exp)
         if alpha == 0:
             raise DomainError(f"alpha underflows at accel = {accel!r} cm/s^2, gap = {gap!r} erg")
     return finite(alpha, "alpha")
@@ -83,18 +83,18 @@ def energy_gap(mu, b_z):
     return finite(2.0 * mu * b_z, "the energy gap")
 
 
-def acceleration_from_field(e_z, constants=CODATA):
+def acceleration_from_field(e_z):
     """Rest-frame acceleration of an electron in an axial electric field.
 
     With the electron's signed charge -e, a = -(q/m) E_z = +(e/m) E_z;
     ``e_z`` in statV/cm, result in cm/s^2.  Raises DomainError where the
     result is not a finite float (a nan or huge ``e_z``).
     """
-    return finite(constants.electron_charge / constants.electron_mass * e_z,
+    return finite(CODATA.electron_charge / CODATA.electron_mass * e_z,
                    f"the acceleration at e_z = {e_z!r} statV/cm")
 
 
-def gamma0(mu, gap, constants=CODATA):
+def gamma0(mu, gap):
     """Zero-acceleration spontaneous flip rate (8/3) mu^2 Delta^3 / (hbar^4 c^3).
 
     Returns 1/s; this is the rate unit of every dimensionless module.
@@ -106,12 +106,12 @@ def gamma0(mu, gap, constants=CODATA):
         raise DomainError("mu and gap must be strictly positive")
     try:
         numerator = (8.0 / 3.0) * mu**2 * gap**3
-        rate = numerator / (constants.hbar**4 * constants.c**3)
+        rate = numerator / (CODATA.hbar**4 * CODATA.c**3)
     except OverflowError:  # a power leaves the float range
         numerator = rate = math.inf
     if not (numerator >= sys.float_info.min and 0 < rate < math.inf):  # under- or overflow
         log_rate = (math.log(8.0 / 3.0) + 2.0 * math.log(mu) + 3.0 * math.log(gap)
-                    - 4.0 * math.log(constants.hbar) - 3.0 * math.log(constants.c))
+                    - 4.0 * math.log(CODATA.hbar) - 3.0 * math.log(CODATA.c))
         try:
             rate = math.exp(log_rate)
         except OverflowError:
@@ -122,7 +122,7 @@ def gamma0(mu, gap, constants=CODATA):
     return rate
 
 
-def unruh_temperature(accel, constants=CODATA):
+def unruh_temperature(accel):
     """Temperature hbar*a/(2*pi*c*k) of the thermal bath seen at acceleration a.
 
     ``accel`` in cm/s^2 (nonnegative), result in K; DomainError where the
@@ -130,5 +130,5 @@ def unruh_temperature(accel, constants=CODATA):
     """
     if not accel >= 0:
         raise DomainError("accel must be nonnegative")
-    return finite(constants.hbar * accel / (2.0 * math.pi * constants.c * constants.boltzmann),
+    return finite(CODATA.hbar * accel / (2.0 * math.pi * CODATA.c * CODATA.boltzmann),
                    "the Unruh temperature")

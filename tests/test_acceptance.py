@@ -113,7 +113,7 @@ def test_criterion_6_disentanglement_asymptote():
 
 
 def test_criterion_7_lab_exponent_constant():
-    value_si = lab_exponent_constant(CODATA, CODATA.bohr_magneton) / 1e4
+    value_si = lab_exponent_constant(CODATA.bohr_magneton) / 1e4
     rel = abs(value_si - 3.8e61) / 3.8e61
     _report(7, f"lab-frame exponent constant {value_si:.4e} m^2/s^4 vs 3.8e61",
             rel, 3e-2, rel < 3e-2)

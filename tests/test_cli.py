@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -385,12 +386,21 @@ def test_bad_grid_spec(capsys):
     (["rates", "--alpha-grid", "a:2:3"], None, "--alpha-grid: could not convert"),
     (["rates", "--alpha-grid", "0:2:3:log"], None, "log grid requires lo > 0"),
     (["worldline", "--profile", "sinusoid:1"], None, "bad profile parameters in 'sinusoid:1'"),
+    (["worldline", "--profile", "zero:5"], None,
+     "bad profile parameters in 'zero:5': zero takes no values, got 1"),
+    (["worldline", "--profile", "constant:"], None,
+     "bad profile parameters in 'constant:': constant takes a, got 0"),
+    (["worldline", "--profile", "constant:1,2"], None,
+     "bad profile parameters in 'constant:1,2': constant takes a, got 2"),
+    (["worldline", "--profile", "sinusoid:1,2,3"], None,
+     "bad profile parameters in 'sinusoid:1,2,3': sinusoid takes a0,omega, got 3"),
     (["rates"], "alpha 2\n", "run.cfg:1: expected 'key = value'"),
     (["rates", "--config", "/nonexistent/dir/run.cfg"], None, "cannot read config file"),
     (["rates"], "oracle = maybe\n", "config key oracle: not a boolean: 'maybe'"),
     (["rates"], "alpha = x\n", "config key alpha: could not convert"),
     (["rates"], "format = xml\n", "unknown format 'xml'"),
 ], ids=["grid-fourth-field", "grid-not-a-number", "log-grid-lo", "sinusoid-params",
+        "zero-params", "constant-no-params", "constant-params", "sinusoid-three-params",
         "config-no-equals", "config-unreadable", "config-oracle", "config-alpha",
         "config-format"])
 def test_bad_input_exits_2(capsys, tmp_path, argv, config, fragment):
@@ -401,6 +411,32 @@ def test_bad_input_exits_2(capsys, tmp_path, argv, config, fragment):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and fragment in err
+
+
+def _docs_cli_lines(name):
+    """The ``rindler-spin`` lines of the sh fences of one doc, as argv lists."""
+    lines, in_sh = [], False
+    path = Path(__file__).resolve().parents[1] / name
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("rindler-spin "):
+            lines.append(shlex.split(line, comments=True)[1:])
+    return lines
+
+
+def test_docs_cli_lines_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RINDLER_SPIN_CONFIG", raising=False)
+    for name in ("README.md", "docs/figures.md"):
+        lines = _docs_cli_lines(name)
+        assert lines, name
+        for argv in lines:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            if "--out" in argv:
+                out = Path(argv[argv.index("--out") + 1]).read_text()
+            assert out, argv
 
 
 def test_one_library_error_per_exit_code(capsys, monkeypatch):

@@ -117,8 +117,8 @@ def test_cli_exit_codes_across_the_domain(alpha, accel, command):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(t0=st.floats(min_value=math.log(1e-298), max_value=math.log(1.7e308)).map(math.exp))
 def test_accel_for_t0_round_trip(t0):
-    accel = accel_for_t0(t0, CODATA, CODATA.bohr_magneton)
-    log_t0 = t0_lab(accel, CODATA, CODATA.bohr_magneton).log_t0
+    accel = accel_for_t0(t0, CODATA.bohr_magneton)
+    log_t0 = t0_lab(accel, CODATA.bohr_magneton).log_t0
     assert abs(log_t0 - math.log(t0)) <= 1e-12 * max(1.0, abs(math.log(t0)))
 
 
@@ -149,9 +149,9 @@ DOMAIN_HOLES = {
     "unruh_temperature(inf)": lambda: unruh_temperature(math.inf),
     "rindler_residual(event at 1e-100, 1e300)": lambda: rindler_residual(
         rindler_event(1e-100, 0.0), 1e300),
-    "lab_exponent_constant(-1e-20)": lambda: lab_exponent_constant(CODATA, -1e-20),
-    "t0_lab(1e26, -mu_B)": lambda: t0_lab(1e26, CODATA, -MU_B),
-    "accel_for_t0(3.15e7, -mu_B)": lambda: accel_for_t0(3.15e7, CODATA, -MU_B),
+    "lab_exponent_constant(-1e-20)": lambda: lab_exponent_constant(-1e-20),
+    "t0_lab(1e26, -mu_B)": lambda: t0_lab(1e26, -MU_B),
+    "accel_for_t0(3.15e7, -mu_B)": lambda: accel_for_t0(3.15e7, -MU_B),
 }
 
 
@@ -200,9 +200,9 @@ SCALAR_CASES = {
     "disentanglement_time": lambda v: disentanglement_time(v.alpha),
     "evolve_analytic": lambda v: evolve_analytic(bell_state(), rates_closed(v.alpha), v.tau),
     "steady_state": lambda v: steady_state(bell_state(), v.alpha),
-    "lab_exponent_constant": lambda v: lab_exponent_constant(CODATA, v.mu),
-    "accel_for_t0": lambda v: accel_for_t0(v.t0, CODATA, v.mu),
-    "t0_lab": lambda v: t0_lab(v.accel, CODATA, v.mu),
+    "lab_exponent_constant": lambda v: lab_exponent_constant(v.mu),
+    "accel_for_t0": lambda v: accel_for_t0(v.t0, v.mu),
+    "t0_lab": lambda v: t0_lab(v.accel, v.mu),
     "tau0_inverse_cube": lambda v: tau0_inverse_cube(v.alpha),
 }
 #: documented saturations: these may return inf or 0 where the value leaves the float range

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401  (the bench tracer wraps it by this name)
 
 from .errors import DomainError, NumericError
-from .params import CODATA, PhysicalConstants
+from .params import CODATA, PhysicalConstants, _scaled
 
 #: refuse the trapezoid route below this alpha.  It holds about 3e-13 relative
 #: to the closed form at alpha 0.2 and 8e-9 at 0.1, because g+ ~ exp(-2 pi/alpha)
@@ -53,8 +53,8 @@ class RateSet:
     residual: Optional[float] = None  # trapezoid error estimate (numeric route only)
 
     def __post_init__(self):
-        if min(self.g_plus, self.g_minus, self.g_z) < 0 or self.n < 0:
-            raise DomainError("rates and occupation must be nonnegative")
+        if not all(0 <= x < math.inf for x in (self.n, self.g_plus, self.g_minus, self.g_z)):
+            raise DomainError("rates and occupation must be nonnegative finite floats")
         if self.g_minus < self.g_plus * (1.0 - 1e-9):
             raise DomainError("de-excitation may not be slower than excitation")
 
@@ -69,10 +69,14 @@ def wightman_rindler(accel, s, eps, constants=CODATA):
         raise DomainError("wightman_rindler requires accel > 0")
     if s == 0 and eps == 0:
         raise DomainError("on-diagonal correlator needs a nonzero regulator")
-    a, c, hbar = accel, constants.c, constants.hbar
-    try:  # a**4 or sinh overflows, or sinh**4 underflows to 0
-        arg = a * complex(s, -eps) / (2.0 * c)
-        value = hbar * a**4 / (4.0 * math.pi * c**7) * cmath.sinh(arg) ** -4
+    c, hbar = constants.c, constants.hbar
+    # hbar a^4/(4 pi c^7) = p 2^p_exp with p in [0.5, 1): p sinh^-4 stays normal, rescaled once
+    m, m_exp = math.frexp(accel)
+    p, p_exp = math.frexp(hbar * m**4 / (4.0 * math.pi * c**7))
+    p_exp += 4 * m_exp
+    try:  # sinh overflows, or sinh**4 underflows to 0
+        value = p * cmath.sinh(accel * complex(s, -eps) / (2.0 * c)) ** -4
+        value = complex(_scaled(value.real, p_exp), _scaled(value.imag, p_exp))
     except (OverflowError, ZeroDivisionError):
         value = complex(math.nan)
     if not cmath.isfinite(value):  # also an inf or nan accel, s or eps
@@ -163,10 +167,8 @@ def rates_numeric(alpha):
     if alpha < MIN_NUMERIC_ALPHA:
         raise DomainError(f"rates_numeric supports alpha >= {MIN_NUMERIC_ALPHA} only; "
                           "use rates_closed below that")
-    cube = alpha_cubed(alpha)
-    prefactor = 3.0 * cube / (16.0 * math.pi)
-    if prefactor == math.inf:  # 3 alpha^3 overflows above alpha of about 3.9e102
-        prefactor = 3.0 / (16.0 * math.pi) * cube
+    cube, cube_exp = math.frexp(alpha_cubed(alpha))
+    prefactor = _scaled(3.0 * cube / (16.0 * math.pi), cube_exp)
     flip, flip_rel = _shifted_fourier(1.0 / alpha)
     still, still_rel = _shifted_fourier(0.0)
     worst = max(flip_rel, still_rel)

@@ -236,7 +236,7 @@ def evolve_analytic(coeffs0: PauliCoefficients, rates: RateSet, tau) -> PauliCoe
     flip_sum = rates.g_minus + rates.g_plus
     coherence_rate = 0.5 * (flip_sum + 4.0 * rates.g_z)
 
-    decay = math.exp(-coherence_rate * tau)
+    decay = math.exp(-coherence_rate * tau) if coherence_rate > 0 else 1.0
     relax = math.exp(-flip_sum * tau) if flip_sum > 0 else 1.0
     r = coeffs0.r * np.array([[1.0], [decay], [decay], [relax]])
     if flip_sum > 0:

@@ -39,7 +39,7 @@ from .dynamics import (PAULI2, DensityMatrix, LindbladSpec, bell_state,
                        density_from_coefficients, evolve_numeric)
 from .errors import DomainError, NumericError
 from .linalg4 import characteristic_roots
-from .params import CODATA
+from .params import CODATA, _scaled
 
 _SPIN_FLIP = PAULI2[2, 2].real  # sy x sy is real symmetric
 #: sy x sy reverses the rows of what it multiplies, with these signs
@@ -252,10 +252,9 @@ def lab_exponent_constant(mu) -> float:
     """
     if not mu > 0:
         raise DomainError(f"the lab-frame exponent constant requires mu > 0 (mu = {mu!r} erg/G)")
-    try:
-        value = 3.0 * math.pi * math.log(3.0) / 8.0 * CODATA.hbar * CODATA.c**5 / mu**2
-    except (OverflowError, ZeroDivisionError):  # mu**2 overflows or underflows to 0
-        value = math.inf
+    m, m_exp = math.frexp(mu)
+    value = _scaled(3.0 * math.pi * math.log(3.0) / 8.0 * CODATA.hbar * CODATA.c**5 / m**2,
+                    -2 * m_exp)
     if not 0 < value < math.inf:
         raise DomainError(f"the lab-frame exponent constant is not a positive finite float "
                           f"at mu = {mu:g} erg/G")

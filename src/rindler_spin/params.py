@@ -11,12 +11,13 @@ rates are quoted in units of the zero-acceleration spontaneous flip rate
 gamma0 = (8/3) mu^2 Delta^3 / (hbar^4 c^3), and times in units of 1/gamma0.
 This module owns the conversions to and from physical units; they read the
 snapshot ``CODATA``, and only ``correlator.wightman_rindler`` takes another.
+Each conversion forms its product of powers on the ``math.frexp`` mantissas of
+its inputs and rescales once (``_scaled``), so no intermediate leaves the normal range.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -40,8 +41,8 @@ class PhysicalConstants:
     def __post_init__(self):
         for name in ("hbar", "c", "electron_charge", "electron_mass",
                      "bohr_magneton", "boltzmann"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be strictly positive and finite")
 
 
 CODATA = PhysicalConstants()
@@ -54,6 +55,14 @@ def finite(value, name):
     return value
 
 
+def _scaled(mantissa, exponent):
+    """mantissa * 2**exponent, rounded once (exact where normal); +-inf where that overflows."""
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, mantissa)
+
+
 def alpha_of(accel, gap):
     """Dimensionless acceleration alpha = a*hbar/(c*Delta).
 
@@ -64,12 +73,10 @@ def alpha_of(accel, gap):
         raise DomainError("gap must be strictly positive")
     if not accel >= 0:
         raise DomainError("accel must be nonnegative")
-    alpha = accel * CODATA.hbar / (CODATA.c * gap)
-    if alpha == 0 and accel > 0:  # a*hbar underflowed or c*Delta overflowed: scale both out
-        (a, a_exp), (g, g_exp) = math.frexp(accel), math.frexp(gap)
-        alpha = math.ldexp(a * CODATA.hbar / (CODATA.c * g), a_exp - g_exp)
-        if alpha == 0:
-            raise DomainError(f"alpha underflows at accel = {accel!r} cm/s^2, gap = {gap!r} erg")
+    (a, a_exp), (g, g_exp) = math.frexp(accel), math.frexp(gap)
+    alpha = _scaled(a * CODATA.hbar / (CODATA.c * g), a_exp - g_exp)
+    if alpha == 0 and accel > 0:
+        raise DomainError(f"alpha underflows at accel = {accel!r} cm/s^2, gap = {gap!r} erg")
     return finite(alpha, "alpha")
 
 
@@ -98,24 +105,13 @@ def gamma0(mu, gap):
     """Zero-acceleration spontaneous flip rate (8/3) mu^2 Delta^3 / (hbar^4 c^3).
 
     Returns 1/s; this is the rate unit of every dimensionless module.
-    Where the direct product over- or underflows, the same formula is
-    taken in logs, so a rate that is itself a float is still returned.
     Raises DomainError where the rate is not a positive finite float.
     """
     if mu <= 0 or gap <= 0:
         raise DomainError("mu and gap must be strictly positive")
-    try:
-        numerator = (8.0 / 3.0) * mu**2 * gap**3
-        rate = numerator / (CODATA.hbar**4 * CODATA.c**3)
-    except OverflowError:  # a power leaves the float range
-        numerator = rate = math.inf
-    if not (numerator >= sys.float_info.min and 0 < rate < math.inf):  # under- or overflow
-        log_rate = (math.log(8.0 / 3.0) + 2.0 * math.log(mu) + 3.0 * math.log(gap)
-                    - 4.0 * math.log(CODATA.hbar) - 3.0 * math.log(CODATA.c))
-        try:
-            rate = math.exp(log_rate)
-        except OverflowError:
-            rate = math.inf
+    (m, m_exp), (g, g_exp) = math.frexp(mu), math.frexp(gap)
+    rate = _scaled((8.0 / 3.0) * m**2 * g**3 / (CODATA.hbar**4 * CODATA.c**3),
+                   2 * m_exp + 3 * g_exp)
     if not 0 < rate < math.inf:
         raise DomainError(f"gamma0 is not a positive finite float at mu = {mu:g} erg/G, "
                           f"gap = {gap:g} erg")
@@ -130,5 +126,6 @@ def unruh_temperature(accel):
     """
     if not accel >= 0:
         raise DomainError("accel must be nonnegative")
-    return finite(CODATA.hbar * accel / (2.0 * math.pi * CODATA.c * CODATA.boltzmann),
-                   "the Unruh temperature")
+    a, a_exp = math.frexp(accel)
+    return finite(_scaled(CODATA.hbar * a / (2.0 * math.pi * CODATA.c * CODATA.boltzmann),
+                          a_exp), "the Unruh temperature")

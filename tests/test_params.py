@@ -1,12 +1,19 @@
+import contextlib
+import io
+import json
 import math
+import sys
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from rindler_spin import (CODATA, DomainError, alpha_of,
+from rindler_spin import (CODATA, DomainError, PhysicalConstants, alpha_of,
                           acceleration_from_field, energy_gap, gamma0,
-                          unruh_temperature)
+                          lab_exponent_constant, unruh_temperature, wightman_rindler)
+from rindler_spin.cli import main
 
 # frozen oracle values, mpmath dps=50 from the pinned CODATA snapshot
 GAP_1G = 1.85480201566e-20            # 2 mu_B * 1 G, erg
@@ -20,9 +27,12 @@ ACCEL_1K = 2.4660830214026106e22      # cm/s^2 giving exactly 1 K
 
 
 def test_constants_positive():
-    for value in (CODATA.hbar, CODATA.c, CODATA.electron_charge,
-                  CODATA.electron_mass, CODATA.bohr_magneton, CODATA.boltzmann):
-        assert value > 0
+    names = ("hbar", "c", "electron_charge", "electron_mass", "bohr_magneton", "boltzmann")
+    for name in names:
+        assert getattr(CODATA, name) > 0
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match=name):
+                PhysicalConstants(**{name: bad})
 
 
 def test_alpha_defining_case():
@@ -136,3 +146,88 @@ def test_unruh_temperature_one_kelvin():
 def test_unruh_temperature_domain():
     with pytest.raises(DomainError):
         unruh_temperature(-1.0)
+
+
+# Each unit conversion against its formula in exact rational arithmetic; pi
+# and ln 3 enter as the floats the code uses.
+HBAR, C, K, PI = (Fraction(x) for x in (CODATA.hbar, CODATA.c, CODATA.boltzmann, math.pi))
+
+
+def _exact_alpha(accel, gap):
+    return accel * HBAR / (C * gap)
+
+
+def _exact_gamma0(mu, gap):
+    return Fraction(8, 3) * mu**2 * gap**3 / (HBAR**4 * C**3)
+
+
+def _exact_unruh(accel):
+    return HBAR * accel / (2 * PI * C * K)
+
+
+def _exact_lab(mu):
+    return 3 * PI * Fraction(math.log(3.0)) / 8 * HBAR * C**5 / mu**2
+
+
+def _assert_within_4_ulps(got, exact):
+    """``got`` lies within 4 ulps of ``exact`` rounded once to a float."""
+    want = float(exact)
+    assert abs(got - want) <= 4.0 * math.ulp(want), (got, want)
+
+
+def _magnitudes(*bands):
+    """Log-uniform positive floats, one band (lo, hi) of decades at a time."""
+    return st.one_of(*(st.floats(min_value=lo * math.log(10.0), max_value=hi * math.log(10.0))
+                       .map(math.exp) for lo, hi in bands))
+
+
+# the whole float range, and a band where a plain product of the formula
+# turns subnormal or overflows while the result is a float
+EXACTNESS_CASES = {
+    "alpha_of": (alpha_of, _exact_alpha, (_magnitudes((-323, 308), (-300, -280)),
+                                          _magnitudes((-30, 10)))),
+    "gamma0": (gamma0, _exact_gamma0, (_magnitudes((-323, 308), (-170, -150)),
+                                       _magnitudes((-323, 308), (20, 40)))),
+    "unruh_temperature": (unruh_temperature, _exact_unruh,
+                          (_magnitudes((-323, 308), (-300, -280)),)),
+    "lab_exponent_constant": (lab_exponent_constant, _exact_lab,
+                              (_magnitudes((-323, 308), (150, 175)),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_CASES))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_conversions_are_exact_across_the_float_range(name, data):
+    call, exact_of, arguments = EXACTNESS_CASES[name]
+    args = data.draw(st.tuples(*arguments))
+    exact = exact_of(*map(Fraction, args))
+    try:
+        got = call(*args)
+    except DomainError:  # only where the rounded result is 0 or overflows
+        assert exact <= 4 * Fraction(math.ulp(0.0)) or exact > sys.float_info.max
+        return
+    _assert_within_4_ulps(got, exact)
+
+
+@pytest.mark.parametrize("got, exact", [
+    (lambda: gamma0(1e-160, 1e30), lambda: _exact_gamma0(Fraction(1e-160), Fraction(1e30))),
+    (lambda: alpha_of(1e-290, 1e-300), lambda: _exact_alpha(Fraction(1e-290), Fraction(1e-300))),
+    (lambda: unruh_temperature(1e-295), lambda: _exact_unruh(Fraction(1e-295))),
+    (lambda: unruh_temperature(1e-299), lambda: _exact_unruh(Fraction(1e-299))),
+    # a s/2c = 1.7e-71: the flat limit 4 hbar/(pi c^3 s^4), good to 1e-142
+    (lambda: wightman_rindler(1e-60, 1.0, 0.0).real, lambda: 4 * HBAR / (PI * C**3)),
+], ids=["gamma0(1e-160, 1e30)", "alpha_of(1e-290, 1e-300)", "unruh_temperature(1e-295)",
+        "unruh_temperature(1e-299)", "wightman_rindler(1e-60, 1, 0)"])
+def test_conversions_exact_where_an_intermediate_is_subnormal(got, exact):
+    _assert_within_4_ulps(got(), exact())
+
+
+def test_constants_cli_exact_at_a_subnormal_intermediate():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["constants", "--accel", "1e-289", "--format", "json"]) == 0
+    values = json.loads(out.getvalue())["values"]
+    accel, gap = Fraction(1e-289), 2 * Fraction(CODATA.bohr_magneton)
+    _assert_within_4_ulps(values["alpha"], _exact_alpha(accel, gap))
+    _assert_within_4_ulps(values["unruh_temperature_K"], _exact_unruh(accel))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rindler_spin
-from rindler_spin import (CODATA, DomainError, RindlerSpinError, accel_for_t0,
+from rindler_spin import (CODATA, DomainError, RateSet, RindlerSpinError, accel_for_t0,
                           acceleration_from_field, alpha_of, bell_state, bose_occupation,
                           concurrence_closed, disentanglement_time, energy_gap,
                           evolve_analytic, gamma0, lab_exponent_constant, rates_closed,
@@ -152,6 +152,10 @@ DOMAIN_HOLES = {
     "lab_exponent_constant(-1e-20)": lambda: lab_exponent_constant(-1e-20),
     "t0_lab(1e26, -mu_B)": lambda: t0_lab(1e26, -MU_B),
     "accel_for_t0(3.15e7, -mu_B)": lambda: accel_for_t0(3.15e7, -MU_B),
+    "RateSet(g_minus=nan)": lambda: RateSet(alpha=1.0, n=0.0, g_plus=0.0, g_minus=math.nan,
+                                            g_z=0.0),
+    "RateSet(g_z=inf)": lambda: RateSet(alpha=1.0, n=0.0, g_plus=0.0, g_minus=0.0,
+                                        g_z=math.inf),
 }
 
 
@@ -159,6 +163,12 @@ DOMAIN_HOLES = {
 def test_entry_points_refuse_nan_and_out_of_range(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_zero_rates_keep_the_state_at_infinite_tau():
+    # -0.0 * inf is nan: a zero rate must not be multiplied by an infinite tau
+    zero = RateSet(alpha=0.0, n=0.0, g_plus=0.0, g_minus=0.0, g_z=0.0)
+    assert np.array_equal(evolve_analytic(bell_state(), zero, math.inf).r, bell_state().r)
 
 
 class Draw(NamedTuple):

@@ -23,7 +23,8 @@ of ``_SETTINGS`` is a config key and, with ``-`` for ``_``, a flag;
 ``_COMMANDS`` holds the settings each command reads, with their defaults,
 and a command takes and reads only those plus ``--format``/``--out``.
 Exit codes: 0 success, 2 argument error (``DomainError``), 3 numeric
-error (``NumericError``), 4 I/O error.
+error (``NumericError``), 4 I/O error (``OSError``: an unwritable output
+file or a closed stdout).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .correlator import MIN_NUMERIC_ALPHA, oracle_residual, rates_closed, rates_
 from .entanglement import (accel_for_t0, concurrence_closed, concurrence_numeric,
                            disentanglement_time, lab_exponent_constant,
                            relaxation_times, t0_lab, tau0_inverse_cube)
-from .errors import DomainError, NumericError, RindlerSpinError
+from .errors import DomainError, NumericError
 from .kinematics import AccelerationProfile, rindler_residual, worldline
 from .params import CODATA, alpha_of, gamma0, unruh_temperature
 
@@ -54,10 +55,6 @@ _PROFILES = {"constant": (AccelerationProfile.constant, ("a",)),
 _PROFILE_FORMS = ", ".join(f"{name}:{','.join(params)}" if params else name
                            for name, (_, params) in _PROFILES.items())
 _FORMATS = ("csv", "json")
-
-
-class _IOFailure(RindlerSpinError, OSError):
-    """Output destination unusable (exit code 4)."""
 
 
 def _parse_grid(spec, name):
@@ -244,7 +241,7 @@ def _write_text(path, text):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _IOFailure(f"cannot write output file {path}: {exc}") from exc
+        raise OSError(f"cannot write output file {path}: {exc}") from exc
 
 
 def cmd_rates(config):
@@ -369,13 +366,14 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         _COMMANDS[config.command][0](config)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except _IOFailure as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
     return 0

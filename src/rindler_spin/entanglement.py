@@ -26,7 +26,6 @@ master equation (``dynamics.evolve_numeric``).
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -108,8 +107,9 @@ def concurrence_real(rho: DensityMatrix) -> float:
     Requires every entry real to 1e-12.  The lambdas are the absolute
     eigenvalues of the single (non-symmetric) product rho (sy x sy),
     computed here as the companion-matrix roots of its characteristic
-    polynomial (``characteristic_roots``).  An imaginary eigenvalue
-    residual above 1e-8 signals an invalid state.  Below alpha of about
+    polynomial (``characteristic_roots``).  A valid state has entries of
+    magnitude at most 1, so the roots are finite; an imaginary eigenvalue
+    residual above 1e-8 raises NumericError.  Below alpha of about
     0.4 the polynomial's coefficients lose the small roots of evolved Bell
     states: the route misses the closed form by more than 1e-8, and below
     about 0.3 it raises.  LAPACK's non-symmetric ``eigvals`` of the same
@@ -120,10 +120,7 @@ def concurrence_real(rho: DensityMatrix) -> float:
         raise DomainError("concurrence_real requires a real density matrix")
     rho.validate()
     product = rho.m.real @ _SPIN_FLIP
-    values = characteristic_roots(product)
-    roots = values.tolist()
-    if not all(map(cmath.isfinite, roots)):
-        raise NumericError(f"characteristic roots {values} are not all finite")
+    roots = characteristic_roots(product).tolist()
     scale = max(1.0, *map(abs, roots))
     worst_imag = max(abs(z.imag) for z in roots)
     if worst_imag > IMAG_EIG_TOL * scale:
@@ -291,8 +288,10 @@ def accel_for_t0(t0, mu) -> float:
     """
     if not 0 < t0 < math.inf:
         raise DomainError("accel_for_t0 requires a finite t0 > 0")
-    two_k = 2.0 * lab_exponent_constant(mu)
-    z = 2.0 * (math.log(t0) - math.log(0.5 * CODATA.c)) + math.log(two_k)
+    k = lab_exponent_constant(mu)
+    two_k = 2.0 * k  # overflows for K within a factor 2 of the largest float
+    log_two_k = math.log(two_k) if two_k < math.inf else math.log(k) + math.log(2.0)
+    z = 2.0 * (math.log(t0) - math.log(0.5 * CODATA.c)) + log_two_k
     ell = z if z < math.e else math.log(z)
     for _ in range(100):  # from above, the steps shrink to zero; this only bounds them
         step = (math.exp(ell) + ell - z) / (math.exp(ell) + 1.0)
@@ -300,9 +299,9 @@ def accel_for_t0(t0, mu) -> float:
         if step <= 4.0 * sys.float_info.epsilon * max(1.0, abs(ell)):
             break
     w = math.exp(ell)
-    if w >= sys.float_info.min and two_k / w < math.inf:
-        return math.sqrt(two_k / w)
+    if w >= sys.float_info.min and 2.0 * (k / w) < math.inf:
+        return math.sqrt(2.0 * (k / w))
     try:  # w is subnormal or 2K/w overflows: a from its log
-        return math.exp(0.5 * (math.log(two_k) - ell))
+        return math.exp(0.5 * (log_two_k - ell))
     except OverflowError:
         raise NumericError(f"no finite acceleration gives t0 = {t0:g} s") from None

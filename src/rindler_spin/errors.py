@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: ``DomainError`` (an argument outside
 an operation's domain, or a state that breaks its invariants) exits 2,
-``NumericError`` (a numerical failure) exits 3, and I/O failures exit 4.
+``NumericError`` (a numerical failure) exits 3, and an ``OSError`` from
+writing the output file or a closed stdout exits 4.
 """
 
 

@@ -198,6 +198,15 @@ def test_constants_t0_finite_where_exp_alone_overflows(capsys):
         assert math.isfinite(float(values["log_t0"]))
 
 
+def test_constants_target_t0_where_twice_the_exponent_constant_overflows(capsys):
+    code, out, err = run_cli(capsys, "constants", "--target-t0", "3.15e7",
+                             "--mu", "5.749136687039799e-142", "--gap", "1e140")
+    assert (code, err) == (0, "")
+    values = dict(line.split(",") for line in out.strip().splitlines()[1:])
+    assert values["t0_s"] == "3.15000000e+07"
+    assert math.isfinite(float(values["accel_cm_s2"]))
+
+
 def test_constants_requires_accel(capsys):
     code, _, err = run_cli(capsys, "constants")
     assert code == 2
@@ -253,7 +262,7 @@ def test_output_determinism(capsys, tmp_path):
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = 2      # config alpha\nformat = json\n")
+    cfg.write_text("# run settings\n\nalpha = 2      # config alpha\n   \nformat = json\n")
     code, out, _ = run_cli(capsys, "rates", "--config", str(cfg))
     assert code == 0
     assert json.loads(out)["rows"][0][0] == 2.0
@@ -459,6 +468,23 @@ def test_unwritable_output(capsys):
                            "--out", "/nonexistent/dir/out.csv")
     assert code == 4
     assert "/nonexistent/dir/out.csv" in err
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])  # large output fails on write, small on flush
+def test_closed_stdout_exits_4(capsys, monkeypatch, failing):
+    class ClosedPipe:
+        def write(self, text):
+            if failing == "write":
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["rates", "--alpha", "1"])
+    monkeypatch.undo()
+    assert code == 4
+    assert capsys.readouterr().err == "i/o error: [Errno 32] Broken pipe\n"
 
 
 def test_numeric_error_exit_code(capsys):

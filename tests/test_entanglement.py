@@ -159,16 +159,13 @@ def test_concurrence_real_double_root():
     assert concurrence_real(rho) == pytest.approx(concurrence(rho), abs=1e-9)
 
 
-def test_concurrence_real_rejects_non_finite_roots(monkeypatch):
+def test_concurrence_real_rejects_complex_roots(monkeypatch):
     import rindler_spin.entanglement as entanglement
-    for roots, message, residual in (
-            ([np.nan, np.nan, 0.5, -0.5], "not all finite", None),
-            ([0.5 + 0.1j, 0.5 - 0.1j, 0.0, 0.0], "complex eigenvalue residual", 0.1)):
-        monkeypatch.setattr(entanglement, "characteristic_roots",
-                            lambda m: np.array(roots, dtype=complex))
-        with pytest.raises(NumericError, match=message) as excinfo:
-            concurrence_real(bell_density())
-        assert excinfo.value.residual == residual
+    monkeypatch.setattr(entanglement, "characteristic_roots",
+                        lambda m: np.array([0.5 + 0.1j, 0.5 - 0.1j, 0.0, 0.0]))
+    with pytest.raises(NumericError, match="complex eigenvalue residual") as excinfo:
+        concurrence_real(bell_density())
+    assert excinfo.value.residual == 0.1
 
 
 def test_concurrence_real_requires_real_input():
@@ -431,6 +428,15 @@ def test_accel_for_t0_inverts_t0_lab():
     # another moment: K scales as 1/mu^2
     accel = accel_for_t0(100.0, 2e-20)
     assert t0_lab(accel, 2e-20).log_t0 == pytest.approx(math.log(100.0), rel=1e-13)
+
+
+def test_accel_for_t0_where_twice_the_exponent_constant_overflows():
+    # K is finite here but 2K is not; the inversion works from ln K + ln 2
+    mu = 5.749136687039799e-142
+    assert 2.0 * lab_exponent_constant(mu) == math.inf
+    accel = accel_for_t0(3.15e7, mu)
+    assert math.isfinite(accel)
+    assert abs(t0_lab(accel, mu).log_t0 - math.log(3.15e7)) <= 1e-12 * math.log(3.15e7)
 
 
 def test_accel_for_t0_domain():

@@ -108,6 +108,14 @@ def test_worldline_evaluation_budget(monkeypatch):
     assert len(events) == 101
 
 
+def test_worldline_integration_failure():
+    # a profile with no continuity at all defeats LSODA's step control
+    import random
+    rough = random.Random(0).random
+    with pytest.raises(NumericError, match="worldline integration failed"):
+        worldline(AccelerationProfile(lambda tau: rough()), np.linspace(0, 5, 11), c=1.0)
+
+
 def test_rindler_event_vertex():
     ev = rindler_event(1e26, 0.0)
     assert ev.t == 0.0

@@ -74,7 +74,10 @@ def _parse_grid(spec, name):
         raise DomainError(f"{flag}: need finite lo <= hi and n >= 1")
     if log and lo <= 0:
         raise DomainError(f"{flag}: log grid requires lo > 0")
-    grid = np.logspace(math.log10(lo), math.log10(hi), n) if log else np.linspace(lo, hi, n)
+    try:  # numpy refuses an n it cannot allocate or index with one of these
+        grid = np.logspace(math.log10(lo), math.log10(hi), n) if log else np.linspace(lo, hi, n)
+    except (MemoryError, ValueError, IndexError) as exc:
+        raise DomainError(f"{flag}: cannot make a grid of n = {n} points: {exc}") from exc
     if np.any(np.diff(grid) <= 0):  # a repeated point repeats rows; a falling one fails
         raise DomainError(f"{name} grid must be strictly increasing")
     return grid

@@ -74,11 +74,17 @@ def wightman_rindler(accel, s, eps, constants=CODATA):
     m, m_exp = math.frexp(accel)
     p, p_exp = math.frexp(hbar * m**4 / (4.0 * math.pi * c**7))
     p_exp += 4 * m_exp
-    try:  # sinh overflows, or sinh**4 underflows to 0
-        value = p * cmath.sinh(accel * complex(s, -eps) / (2.0 * c)) ** -4
-        value = complex(_scaled(value.real, p_exp), _scaled(value.imag, p_exp))
+    arg = accel * complex(s, -eps) / (2.0 * c)
+    try:  # sinh overflows, or is 0 or so small that sinh**-4 overflows
+        value = p * cmath.sinh(arg) ** -4
     except (OverflowError, ZeroDivisionError):
         value = complex(math.nan)
+        sinh = cmath.sinh(arg) if abs(arg) < 1.0 else 0j  # past 1, sinh itself overflowed
+        if sinh:  # tiny, not 0: scale it into [0.5, 1) by 2**-e and fold -4e into p_exp
+            e = math.frexp(abs(sinh))[1]
+            value = p * complex(math.ldexp(sinh.real, -e), math.ldexp(sinh.imag, -e)) ** -4
+            p_exp -= 4 * e
+    value = complex(_scaled(value.real, p_exp), _scaled(value.imag, p_exp))
     if not cmath.isfinite(value):  # also an inf or nan accel, s or eps
         raise DomainError(f"wightman_rindler is not a finite complex at accel = {accel!r}, "
                           f"s = {s!r}, eps = {eps!r}")

@@ -408,10 +408,17 @@ def test_bad_grid_spec(capsys):
     (["rates"], "oracle = maybe\n", "config key oracle: not a boolean: 'maybe'"),
     (["rates"], "alpha = x\n", "config key alpha: could not convert"),
     (["rates"], "format = xml\n", "unknown format 'xml'"),
+    # each size fails at once inside numpy, before any allocation
+    (["curve", "--tau-grid", "0:5:1000000000000000"], None,
+     "--tau-grid: cannot make a grid of n = 1000000000000000 points"),
+    (["rates", "--alpha-grid", "1:2:100000000000000000000"], None,
+     "--alpha-grid: cannot make a grid of n = 100000000000000000000 points"),
+    (["rates", "--alpha-grid", "1:2:9223372036854775807:log"], None,
+     "--alpha-grid: cannot make a grid of n = 9223372036854775807 points"),
 ], ids=["grid-fourth-field", "grid-not-a-number", "log-grid-lo", "sinusoid-params",
         "zero-params", "constant-no-params", "constant-params", "sinusoid-three-params",
         "config-no-equals", "config-unreadable", "config-oracle", "config-alpha",
-        "config-format"])
+        "config-format", "grid-unallocatable", "grid-over-max-size", "grid-int64-edge"])
 def test_bad_input_exits_2(capsys, tmp_path, argv, config, fragment):
     if config is not None:
         cfg = tmp_path / "run.cfg"

@@ -78,11 +78,20 @@ def test_rindler_flat_limit_pointwise():
         assert abs(rind - flat) / abs(flat) < 1e-6
 
 
+@pytest.mark.parametrize("a", [1e-70, 1e-100, 1e-200])
+def test_rindler_flat_limit_where_sinh_power_overflows(a):
+    # a s/2c below ~1e-77: sinh**-4 alone overflows, the product is the flat limit
+    flat = _flat(1.0, 1.0)
+    assert abs(wightman_rindler(a, 1.0, 1.0) - flat) <= 1e-12 * abs(flat)
+
+
 def test_rindler_domain():
     with pytest.raises(DomainError):
         wightman_rindler(0.0, 1.0, 1e-3)
     with pytest.raises(DomainError, match="nonzero regulator"):
         wightman_rindler(1e26, 0.0, 0.0)
+    with pytest.raises(DomainError, match="not a finite complex"):
+        wightman_rindler(5e-324, 1.0, 0.0)  # a s/2c underflows to 0
 
 
 def test_bose_occupation_limits():

@@ -109,7 +109,7 @@ def _load_config_file(path):
                 if not sep:
                     raise DomainError(f"{path}:{lineno}: expected 'key = value'")
                 settings[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read config file {path}: {exc}") from exc
     return settings
 

@@ -32,6 +32,7 @@ along z, concurrence), so it is never applied.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -91,6 +92,8 @@ _EYE4.setflags(write=False)
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
+#: index pairs (i, j), i <= j, of the upper triangle of a 4x4 matrix
+_UPPER = tuple((i, j) for i in range(4) for j in range(i, 4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +110,9 @@ class PauliCoefficients:
         r = np.array(self.r, dtype=float)
         if r.shape != (4, 4):
             raise DomainError("coefficients must form a 4x4 real array")
-        if abs(r[0, 0] - 0.25) > TRACE_TOL:
+        if not all(map(math.isfinite, r.reshape(16).tolist())):
+            raise DomainError("coefficients must be finite")
+        if not abs(r[0, 0] - 0.25) <= TRACE_TOL:
             raise DomainError("r[0][0] must be 1/4 (unit trace)")
         r.setflags(write=False)
         object.__setattr__(self, "r", r)
@@ -119,9 +124,11 @@ class DensityMatrix:
 
     Construction does not validate, so near-boundary numerics can be
     probed; call :meth:`validate` (or the operations that require valid
-    input) to enforce hermiticity, unit trace, and positivity.  Each
-    instance runs those checks and its one Hermitian eigensolve at most
-    once, because ``m`` is read-only.  Compared and hashed by identity.
+    input) to enforce hermiticity, unit trace, and positivity.  The
+    finite, Hermitian and unit-trace checks read the sixteen entries as
+    Python scalars, which costs less than numpy on a 4x4.  Each instance
+    runs those checks and its one Hermitian eigensolve at most once,
+    because ``m`` is read-only.  Compared and hashed by identity.
     """
 
     m: np.ndarray
@@ -144,12 +151,14 @@ class DensityMatrix:
     @cached_property
     def _structural_defect(self):
         """Why ``m`` fails the finite, Hermitian or unit-trace check, or None."""
-        m = self.m
-        if not np.isfinite(m).all():
+        m = self.m.tolist()
+        if not all(map(cmath.isfinite, m[0] + m[1] + m[2] + m[3])):
             return "density matrix has non-finite entries"
-        if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
-            return "density matrix is not Hermitian"
-        trace = complex(m.trace())
+        for i, j in _UPPER:
+            if abs(m[i][j] - m[j][i].conjugate()) > HERMITICITY_TOL:
+                return "density matrix is not Hermitian"
+        # the summation order of ndarray.trace
+        trace = m[0][0] + m[1][1] + m[2][2] + m[3][3]
         if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
             return "density matrix must have unit trace"
         return None
@@ -188,6 +197,12 @@ class LindbladSpec:
                 "require < 0.1)")
 
 
+def _pauli_coefficients(m):
+    """The real 4x4 array r_ij = Tr(m s_i x s_j)/4 of a Hermitian 4x4 matrix m."""
+    # Tr(m P) = sum_ab m_ab conj(P_ab) for each Hermitian basis operator P
+    return (_BASIS_CONJ @ m.reshape(16)).real.reshape(4, 4) / 4.0
+
+
 def coeffs_from_density(rho: DensityMatrix) -> PauliCoefficients:
     """Extract r_ij = Tr(rho s_i x s_j)/4; inverse of density_from_coefficients.
 
@@ -195,8 +210,7 @@ def coeffs_from_density(rho: DensityMatrix) -> PauliCoefficients:
     """
     if rho._structural_defect is not None:
         raise DomainError(rho._structural_defect)
-    # Tr(rho P) = sum_ab rho_ab conj(P_ab) for each Hermitian basis operator P
-    return PauliCoefficients((_BASIS_CONJ @ rho.m.reshape(16)).real.reshape(4, 4) / 4.0)
+    return PauliCoefficients(_pauli_coefficients(rho.m))
 
 
 def density_from_coefficients(coeffs: PauliCoefficients) -> DensityMatrix:
@@ -286,7 +300,8 @@ def evolve_numeric(rho0: DensityMatrix, spec: LindbladSpec, tau) -> DensityMatri
     # to 13 significant digits gives them one cache key and one power
     h = float(f"{tau / steps:.12e}")
     power = _step_power(rates.g_minus, rates.g_plus, rates.g_z, h, steps)
-    r = power @ coeffs_from_density(rho0).r
+    # rho0.validate() has run the structural check coeffs_from_density repeats
+    r = power @ _pauli_coefficients(rho0.m)
 
     result = DensityMatrix((r.reshape(16) @ _BASIS).reshape(4, 4))
     min_eig = result.min_eigenvalue()

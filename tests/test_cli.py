@@ -408,6 +408,7 @@ def test_bad_grid_spec(capsys):
     (["rates"], "oracle = maybe\n", "config key oracle: not a boolean: 'maybe'"),
     (["rates"], "alpha = x\n", "config key alpha: could not convert"),
     (["rates"], "format = xml\n", "unknown format 'xml'"),
+    (["rates"], b"alpha = 1\n\xff\n", "cannot read config file"),
     # each size fails at once inside numpy, before any allocation
     (["curve", "--tau-grid", "0:5:1000000000000000"], None,
      "--tau-grid: cannot make a grid of n = 1000000000000000 points"),
@@ -418,11 +419,15 @@ def test_bad_grid_spec(capsys):
 ], ids=["grid-fourth-field", "grid-not-a-number", "log-grid-lo", "sinusoid-params",
         "zero-params", "constant-no-params", "constant-params", "sinusoid-three-params",
         "config-no-equals", "config-unreadable", "config-oracle", "config-alpha",
-        "config-format", "grid-unallocatable", "grid-over-max-size", "grid-int64-edge"])
+        "config-format", "config-not-utf8", "grid-unallocatable", "grid-over-max-size",
+        "grid-int64-edge"])
 def test_bad_input_exits_2(capsys, tmp_path, argv, config, fragment):
     if config is not None:
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(config)
+        if isinstance(config, bytes):
+            cfg.write_bytes(config)
+        else:
+            cfg.write_text(config)
         argv = [*argv, "--config", str(cfg)]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 from rindler_spin import (BlochBoundWarning, DensityMatrix, DomainError,
                           LindbladSpec, PauliCoefficients, RateSet,
                           NumericError, bell_state, bloch_norm,
-                          coeffs_from_density, concurrence_numeric,
+                          coeffs_from_density, concurrence, concurrence_numeric,
                           density_from_coefficients, evolve_analytic,
                           evolve_numeric, rates_closed, steady_state)
-from rindler_spin.dynamics import SIGMA, _step_power
+from rindler_spin.dynamics import _BASIS, SIGMA, _step_power
 
 from helpers import bell_density, random_density, rk4_reference
 
@@ -398,6 +399,82 @@ def test_density_validate_errors():
             non_finite[i, j] = non_finite[j, i] = value
             with pytest.raises(DomainError, match="non-finite"):
                 DensityMatrix(non_finite).validate()
+
+
+def _numpy_structural_defect(m):
+    """The finite, Hermitian and unit-trace checks written with numpy, as a reference."""
+    if not np.isfinite(m).all():
+        return "density matrix has non-finite entries"
+    if np.abs(m - m.conj().T).max() > 1e-12:
+        return "density matrix is not Hermitian"
+    trace = complex(m.trace())
+    if abs(trace.real - 1.0) > 1e-12 or abs(trace.imag) > 1e-12:
+        return "density matrix must have unit trace"
+    return None
+
+
+def _bell_with(deltas):
+    """The Bell density matrix with ``deltas[(i, j)]`` added to each entry m[i, j]."""
+    m = np.array(bell_density().m)
+    for index, delta in deltas.items():
+        m[index] += delta
+    return m
+
+
+STRUCTURAL_CASES = {
+    "bell": _bell_with({}),
+    "nan-off-diagonal": _bell_with({(1, 2): math.nan}),
+    "inf-diagonal": _bell_with({(1, 1): math.inf}),
+    "hermitian-looking-i-inf": _bell_with({(0, 1): complex(0.0, math.inf),
+                                           (1, 0): complex(0.0, -math.inf)}),
+    "skew-0.9e-12": _bell_with({(0, 1): 0.9e-12}),
+    "skew-1.1e-12": _bell_with({(0, 1): 1.1e-12}),
+    "trace-real-off-1.1e-12": _bell_with({(1, 1): 1.1e-12}),
+    "diagonal-imag-0.4e-12": _bell_with({(i, i): 0.4e-12j for i in range(4)}),
+    "diagonal-imag-0.6e-12": _bell_with({(i, i): 0.6e-12j for i in range(4)}),
+}
+
+
+@pytest.mark.parametrize("m", list(STRUCTURAL_CASES.values()), ids=list(STRUCTURAL_CASES))
+def test_structural_check_matches_numpy_reference(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = _numpy_structural_defect(m)
+        assert DensityMatrix(m)._structural_defect == expected
+        if expected is None:
+            return
+        spec = LindbladSpec(rates_closed(1.0))
+        for check in (lambda rho: rho.validate(), coeffs_from_density,
+                      lambda rho: evolve_numeric(rho, spec, 0.5)):
+            with pytest.raises(DomainError) as info:
+                check(DensityMatrix(m))
+            assert str(info.value) == expected
+
+
+def test_structural_cases_cover_every_verdict():
+    verdicts = [_numpy_structural_defect(m) for m in STRUCTURAL_CASES.values()]
+    assert verdicts.count(None) == 2
+    assert len(set(verdicts)) == 4
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 4.7])
+def test_concurrence_numeric_matches_coefficient_object_chain(alpha):
+    # evolve_numeric with each segment's coefficients taken through a
+    # PauliCoefficients, as coeffs_from_density gives them, bit for bit
+    taus = np.linspace(0.0, 5.0, 61)
+    spec = LindbladSpec(rates=rates_closed(alpha))
+    rates = spec.rates
+    rho, prev, expected = density_from_coefficients(bell_state()), 0.0, []
+    for tau in map(float, taus):
+        if tau != prev:
+            steps = max(1, math.ceil((tau - prev) / spec.dt))
+            h = float(f"{(tau - prev) / steps:.12e}")
+            power = _step_power(rates.g_minus, rates.g_plus, rates.g_z, h, steps)
+            r = power @ coeffs_from_density(rho).r
+            rho = DensityMatrix((r.reshape(16) @ _BASIS).reshape(4, 4))
+        prev = tau
+        expected.append(concurrence(rho))
+    assert concurrence_numeric(alpha, taus) == expected
 
 
 def test_steady_state_bell_product():

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import rindler_spin
-from rindler_spin import (CODATA, DomainError, RateSet, RindlerSpinError, accel_for_t0,
-                          acceleration_from_field, alpha_of, bell_state, bose_occupation,
-                          concurrence_closed, disentanglement_time, energy_gap,
+from rindler_spin import (CODATA, DomainError, PauliCoefficients, RateSet, RindlerSpinError,
+                          accel_for_t0, acceleration_from_field, alpha_of, bell_state,
+                          bose_occupation, concurrence_closed, disentanglement_time, energy_gap,
                           evolve_analytic, gamma0, lab_exponent_constant, rates_closed,
                           rates_numeric, relaxation_times, rindler_event, rindler_residual,
                           steady_state, t0_lab, tau0_inverse_cube,
@@ -155,6 +155,8 @@ DOMAIN_HOLES = {
                                             g_z=0.0),
     "RateSet(g_z=inf)": lambda: RateSet(alpha=1.0, n=0.0, g_plus=0.0, g_minus=0.0,
                                         g_z=math.inf),
+    "PauliCoefficients(r00=nan)": lambda: PauliCoefficients(np.diag([math.nan, 0.0, 0.0, 0.0])),
+    "PauliCoefficients(r11=inf)": lambda: PauliCoefficients(np.diag([0.25, math.inf, 0.0, 0.0])),
 }
 
 
